@@ -422,7 +422,7 @@ func TestGramOpMatchesDense(t *testing.T) {
 	}
 	want, _ := cov.MulVec(x)
 	got := make([]float64, 12)
-	g.Apply(got, x)
+	g.Apply([][]float64{got}, [][]float64{x})
 	for i := range want {
 		if !almostEq(got[i], want[i], 1e-10*(1+math.Abs(want[i]))) {
 			t.Errorf("GramOp[%d] = %g, want %g", i, got[i], want[i])

@@ -64,9 +64,13 @@ func Identity(n int) *Matrix {
 }
 
 // Rows returns the number of rows.
+//
+//mhm:hotpath
 func (m *Matrix) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
+//
+//mhm:hotpath
 func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at (i, j).
@@ -76,6 +80,8 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.cols+j] }
 func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
 // Row returns row i as a slice aliasing the matrix storage.
+//
+//mhm:hotpath
 func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
 // RowCopy returns a copy of row i.
@@ -153,6 +159,8 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 }
 
 // MulVecInto computes a*x into dst (length Rows()) without allocating.
+// Rows are dotted four at a time (Dot4); each entry is bit-identical to
+// Dot(m.Row(i), x).
 func (m *Matrix) MulVecInto(dst, x []float64) error {
 	if len(x) != m.cols {
 		return fmt.Errorf("mat: MulVec: vector len %d, matrix %dx%d: %w", len(x), m.rows, m.cols, ErrShape)
@@ -160,9 +168,7 @@ func (m *Matrix) MulVecInto(dst, x []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("mat: MulVec: dst len %d, matrix %dx%d: %w", len(dst), m.rows, m.cols, ErrShape)
 	}
-	for i := 0; i < m.rows; i++ {
-		dst[i] = Dot(m.Row(i), x)
-	}
+	mulRowsBlock(m, [][]float64{dst}, [][]float64{x})
 	return nil
 }
 

@@ -4,18 +4,24 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 )
 
 // SymOp is a linear operator x -> A x for a symmetric positive
 // semi-definite A that may be cheaper to apply than to materialize
-// (e.g. a covariance C = (1/N) Φ Φᵀ applied as Φ (Φᵀ x) / N).
+// (e.g. a covariance C = (1/N) Φ Φᵀ applied as Φ (Φᵀ x) / N). It is
+// applied to a block of vectors at a time, so an implementation streams
+// its stored rows once per block instead of once per vector.
 type SymOp interface {
 	// Dim returns the dimension n of the operator.
 	Dim() int
-	// Apply computes dst = A*src. dst and src have length Dim and do not
-	// alias.
-	Apply(dst, src []float64)
+	// Apply computes dst[v] = A*src[v] for every block vector v. dst and
+	// src have the same length, every vector has length Dim, and no dst
+	// vector aliases a src vector. Each dst[v] must be bit-identical to
+	// applying the operator to the block {src[v]} alone, so callers may
+	// split a block into ranges freely.
+	Apply(dst, src [][]float64)
 }
 
 // DenseOp adapts a symmetric *Matrix to the SymOp interface.
@@ -24,18 +30,45 @@ type DenseOp struct{ M *Matrix }
 // Dim returns the matrix dimension.
 func (d DenseOp) Dim() int { return d.M.Rows() }
 
-// Apply computes dst = M*src.
-func (d DenseOp) Apply(dst, src []float64) {
-	for i := 0; i < d.M.Rows(); i++ {
-		dst[i] = Dot(d.M.Row(i), src)
+// Apply computes dst[v] = M*src[v], reading each row of M once per
+// block.
+//
+//mhm:deterministic
+//mhm:hotpath
+func (d DenseOp) Apply(dst, src [][]float64) { mulRowsBlock(d.M, dst, src) }
+
+// mulRowsBlock sets dst[v][i] = Dot(m.Row(i), src[v]) for every row i of
+// m and every block vector v. Rows are taken four at a time and each
+// group is dotted against every block vector with Dot4 before the next
+// group is read, so m is streamed once per block; every entry is one
+// ascending chain, bit-identical to the Dot it replaces.
+//
+//mhm:deterministic
+//mhm:hotpath
+func mulRowsBlock(m *Matrix, dst, src [][]float64) {
+	n := m.Rows()
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+		for v, x := range src {
+			d := dst[v]
+			d[i], d[i+1], d[i+2], d[i+3] = Dot4(x, r0, r1, r2, r3)
+		}
+	}
+	for ; i < n; i++ {
+		r := m.Row(i)
+		for v, x := range src {
+			dst[v][i] = Dot(r, x)
+		}
 	}
 }
 
 // GramOp applies C = (1/N) A Aᵀ where A is n x N, without forming C.
 // This is the eigenfaces covariance trick: for MHM training sets A holds
 // the mean-shifted heat maps as columns. Apply is safe for concurrent
-// use (scratch vectors come from an internal pool, so concurrent calls
-// each check one out and steady-state iteration does not allocate).
+// use (the per-block t = Aᵀ·src vectors come from an internal pool, so
+// concurrent calls each check one out and steady-state iteration does
+// not allocate).
 type GramOp struct {
 	A       *Matrix // n x N
 	scratch sync.Pool
@@ -44,43 +77,122 @@ type GramOp struct {
 // NewGramOp wraps the n x N matrix a.
 func NewGramOp(a *Matrix) *GramOp {
 	g := &GramOp{A: a}
-	cols := a.Cols()
-	g.scratch.New = func() any {
-		s := make([]float64, cols)
-		return &s
-	}
+	g.scratch.New = func() any { return new([][]float64) }
 	return g
 }
 
 // Dim returns n, the row dimension of A.
 func (g *GramOp) Dim() int { return g.A.Rows() }
 
-// Apply computes dst = (1/N) A (Aᵀ src).
-func (g *GramOp) Apply(dst, src []float64) {
-	n := g.A.Rows()
-	cols := g.A.Cols()
-	tp := g.scratch.Get().(*[]float64)
-	defer g.scratch.Put(tp)
-	t := *tp
-	for j := range t {
-		t[j] = 0
+// Apply computes dst[v] = (1/N) A (Aᵀ src[v]) in two sweeps over A per
+// block: t_v = Aᵀ src[v] folds the rows of A in ascending order (a zero
+// source entry skips its row for that vector only), then dst[v] = A t_v
+// dots every row against every t_v.
+//
+//mhm:deterministic
+//mhm:hotpath
+func (g *GramOp) Apply(dst, src [][]float64) {
+	n, cols := g.A.Rows(), g.A.Cols()
+	tp := g.scratch.Get().(*[][]float64)
+	if len(*tp) < len(src) {
+		//mhmlint:ignore hotpath grows once per block size; steady-state iteration reuses it
+		*tp = newBlock(len(src), cols)
 	}
-	// t = Aᵀ src
-	for i := 0; i < n; i++ {
-		si := src[i]
-		if si == 0 {
-			continue
-		}
-		ri := g.A.Row(i)
-		for j, v := range ri {
-			t[j] += si * v
+	t := (*tp)[:len(src)]
+	for _, tv := range t {
+		for j := range tv {
+			tv[j] = 0
 		}
 	}
-	// dst = A t / N
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0, r1, r2, r3 := g.A.Row(i), g.A.Row(i+1), g.A.Row(i+2), g.A.Row(i+3)
+		for v, x := range src {
+			s0, s1, s2, s3 := x[i], x[i+1], x[i+2], x[i+3]
+			if s0 != 0 && s1 != 0 && s2 != 0 && s3 != 0 {
+				Axpy4(t[v], s0, s1, s2, s3, r0, r1, r2, r3)
+				continue
+			}
+			axpyNonZero(s0, r0, t[v])
+			axpyNonZero(s1, r1, t[v])
+			axpyNonZero(s2, r2, t[v])
+			axpyNonZero(s3, r3, t[v])
+		}
+	}
+	for ; i < n; i++ {
+		r := g.A.Row(i)
+		for v, x := range src {
+			axpyNonZero(x[i], r, t[v])
+		}
+	}
+	mulRowsBlock(g.A, dst, t)
 	inv := 1 / float64(cols)
-	for i := 0; i < n; i++ {
-		dst[i] = Dot(g.A.Row(i), t) * inv
+	for _, d := range dst {
+		for i := range d {
+			d[i] *= inv
+		}
 	}
+	g.scratch.Put(tp)
+}
+
+// axpyNonZero is Axpy that skips a zero scale.
+//
+//mhm:hotpath
+func axpyNonZero(s float64, x, y []float64) {
+	if s != 0 {
+		Axpy(s, x, y)
+	}
+}
+
+// newBlock returns b zeroed vectors of length n sharing one backing
+// array, the block layout SymOp.Apply takes.
+func newBlock(b, n int) [][]float64 {
+	back := make([]float64, b*n)
+	out := make([][]float64, b)
+	for i := range out {
+		out[i] = back[i*n : (i+1)*n : (i+1)*n]
+	}
+	return out
+}
+
+// blockParts returns how many contiguous ranges a b-vector block is
+// split into: one when serial, else up to GOMAXPROCS ranges of at least
+// four vectors each.
+func blockParts(b int, parallel bool) int {
+	if !parallel {
+		return 1
+	}
+	parts := runtime.GOMAXPROCS(0)
+	if most := b / 4; parts > most {
+		parts = most
+	}
+	if parts < 1 {
+		parts = 1
+	}
+	return parts
+}
+
+// applyBlock computes z = A q for the block, split into parts contiguous
+// ranges, one goroutine each. Every range streams the operator once,
+// and since each output vector depends on its own input alone the
+// result is bit-identical for every split.
+func applyBlock(op SymOp, z, q [][]float64, parts int) {
+	b := len(q)
+	if parts <= 1 {
+		op.Apply(z, q)
+		return
+	}
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		lo, hi := p*b/parts, (p+1)*b/parts
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			op.Apply(z[lo:hi], q[lo:hi])
+		}(lo, hi)
+	}
+	op.Apply(z[:b/parts], q[:b/parts])
+	wg.Wait()
 }
 
 // TopKOptions tunes EigenSymTopK.
@@ -95,9 +207,10 @@ type TopKOptions struct {
 	// Oversample adds extra vectors to the iterated block to speed
 	// convergence of the trailing wanted pairs (default min(8, dim-k)).
 	Oversample int
-	// Parallel applies the operator to the block vectors on separate
-	// goroutines; the operator's Apply must be concurrency-safe (DenseOp
-	// and GramOp are). Results are identical to the serial run.
+	// Parallel splits the block into a few contiguous ranges and applies
+	// the operator to each on its own goroutine; the operator's Apply
+	// must be concurrency-safe (DenseOp and GramOp are). Results are
+	// identical to the serial run.
 	Parallel bool
 	// Init warm-starts the iteration: its columns (an n×m matrix, m ≤
 	// k+Oversample — typically the previous model's eigenvectors) seed
@@ -141,7 +254,7 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	// Block of b column vectors, stored as rows of q (b x n) for locality.
-	q := New(b, n)
+	q := newBlock(b, n)
 	warm := 0
 	if opts.Init != nil {
 		if opts.Init.Rows() != n {
@@ -152,14 +265,12 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 			warm = b
 		}
 		for i := 0; i < warm; i++ {
-			row := q.Row(i)
-			for j := 0; j < n; j++ {
-				row[j] = opts.Init.At(j, i)
+			for j := range q[i] {
+				q[i][j] = opts.Init.At(j, i)
 			}
 		}
 	}
-	for i := warm; i < b; i++ {
-		row := q.Row(i)
+	for _, row := range q[warm:] {
 		for j := range row {
 			row[j] = rng.NormFloat64()
 		}
@@ -168,38 +279,27 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 		return nil, err
 	}
 
-	z := New(b, n)
+	z, next := newBlock(b, n), newBlock(b, n)
+	parts := blockParts(b, opts.Parallel)
 	prev := make([]float64, k)
 	var ritzVals []float64
-	var ritzVecs *Matrix
-
-	applyBlock := func(q *Matrix) {
-		if !opts.Parallel {
-			for i := 0; i < b; i++ {
-				op.Apply(z.Row(i), q.Row(i))
-			}
-			return
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < b; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				op.Apply(z.Row(i), q.Row(i))
-			}(i)
-		}
-		wg.Wait()
-	}
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		// z_i = A q_i
-		applyBlock(q)
+		applyBlock(op, z, q, parts)
 		// Rayleigh-Ritz: S = Q A Qᵀ (b x b), small dense eigenproblem.
 		s := New(b, b)
-		for i := 0; i < b; i++ {
-			zi := z.Row(i)
-			for j := i; j < b; j++ {
-				v := Dot(q.Row(j), zi)
+		for i, zi := range z {
+			j := i
+			for ; j+4 <= b; j += 4 {
+				v0, v1, v2, v3 := Dot4(zi, q[j], q[j+1], q[j+2], q[j+3])
+				for d, v := range [4]float64{v0, v1, v2, v3} {
+					s.Set(i, j+d, v)
+					s.Set(j+d, i, v)
+				}
+			}
+			for ; j < b; j++ {
+				v := Dot(q[j], zi)
 				s.Set(i, j, v)
 				s.Set(j, i, v)
 			}
@@ -208,23 +308,23 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mat: EigenSymTopK: inner eigensolve: %w", err)
 		}
-		// Rotate the block: newQ = esᵀ-combined rows of z (i.e. Ritz
+		// Rotate the block: next = esᵀ-combined rows of z (i.e. Ritz
 		// vectors of A within span(z)). Using z (=A·q) instead of q makes
 		// this a power step plus projection.
-		newQ := New(b, n)
-		for c := 0; c < b; c++ { // Ritz vector c
-			dst := newQ.Row(c)
-			for i := 0; i < b; i++ {
-				w := es.Vectors.At(i, c)
-				if w != 0 {
-					Axpy(w, z.Row(i), dst)
+		for c, dst := range next { // Ritz vector c
+			for j := range dst {
+				dst[j] = 0
+			}
+			for i, zi := range z {
+				if w := es.Vectors.At(i, c); w != 0 {
+					Axpy(w, zi, dst)
 				}
 			}
 		}
-		if err := orthonormalizeRows(newQ); err != nil {
+		if err := orthonormalizeRows(next); err != nil {
 			return nil, err
 		}
-		q = newQ
+		q, next = next, q
 		ritzVals = es.Values
 
 		// Convergence on the k wanted Ritz values.
@@ -246,13 +346,11 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 	}
 
 	// Final Rayleigh quotients and vectors for the leading k pairs.
-	ritzVecs = New(n, k)
+	applyBlock(op, z[:k], q[:k], blockParts(k, opts.Parallel))
+	ritzVecs := New(n, k)
 	vals := make([]float64, k)
-	tmp := make([]float64, n)
-	for c := 0; c < k; c++ {
-		row := q.Row(c)
-		op.Apply(tmp, row)
-		vals[c] = Dot(row, tmp)
+	for c, row := range q[:k] {
+		vals[c] = Dot(row, z[c])
 		for i := 0; i < n; i++ {
 			ritzVecs.Set(i, c, row[i])
 		}
@@ -266,13 +364,11 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 // place. Rows that collapse to (near) zero are replaced by fresh random
 // directions orthogonal to the earlier rows; this keeps subspace
 // iteration full-rank when the operator has low numerical rank.
-func orthonormalizeRows(q *Matrix) error {
+func orthonormalizeRows(q [][]float64) error {
 	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < q.rows; i++ {
-		ri := q.Row(i)
+	for i, ri := range q {
 		for attempt := 0; ; attempt++ {
-			for j := 0; j < i; j++ {
-				rj := q.Row(j)
+			for _, rj := range q[:i] {
 				Axpy(-Dot(ri, rj), rj, ri)
 			}
 			if Normalize(ri) > 1e-12 {

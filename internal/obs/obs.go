@@ -17,8 +17,10 @@
 //     so uninstrumented callers pay one branch and nothing else.
 //   - Snapshots are point-in-time but not atomic across metrics: a
 //     snapshot taken during concurrent Observe calls may see a count
-//     that is one ahead of the bucket sums. That is acceptable for
-//     monitoring and keeps the write side wait-free.
+//     that is ahead of the bucket sums and of the sum, never behind
+//     them. Observe bumps the count before the bucket and the sum, and
+//     Snapshot loads the buckets and the sum before the count. That is
+//     acceptable for monitoring and keeps the write side wait-free.
 package obs
 
 import (
@@ -160,10 +162,16 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
+	// Write order is the other half of Snapshot's read order: min/max
+	// before count, so a reader that sees count > 0 sees finite extremes;
+	// count before the bucket and the sum, so the bucket sums and the
+	// sum never run ahead of the count a reader loads after them.
+	atomicFoldFloat(&h.minBits, v, func(cur, v float64) bool { return cur <= v })
+	atomicFoldFloat(&h.maxBits, v, func(cur, v float64) bool { return cur >= v })
+	h.count.Add(1)
 	// First bucket whose bound is >= v; len(bounds) selects overflow.
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		cur := math.Float64frombits(old)
@@ -171,8 +179,6 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	atomicFoldFloat(&h.minBits, v, func(cur, v float64) bool { return cur <= v })
-	atomicFoldFloat(&h.maxBits, v, func(cur, v float64) bool { return cur >= v })
 }
 
 // Count returns the number of observations (0 for nil).

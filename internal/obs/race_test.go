@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -80,5 +81,50 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 	// Histogram totals: one Observe plus one Stopwatch per iteration.
 	if got := r.Histogram("shared.lat", nil).Count(); got != uint64(2*writers*perIter) {
 		t.Errorf("shared.lat count = %d, want %d", got, 2*writers*perIter)
+	}
+}
+
+// TestSnapshotNeverBehindCount pins the read/write ordering contract a
+// single snapshot promises under concurrent Observe calls: its Count is
+// never behind its own bucket sums, and a nonzero Count comes with
+// finite Min and Max.
+func TestSnapshotNeverBehindCount(t *testing.T) {
+	h := newHistogram(LatencyBuckets)
+	const writers, perWriter = 4, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				h.Observe(float64((i*7 + w) % 3000))
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for {
+		hs := h.Snapshot()
+		inBuckets := hs.Overflow
+		for _, b := range hs.Buckets {
+			inBuckets += b.Count
+		}
+		if inBuckets > hs.Count {
+			t.Fatalf("bucket sums %d ahead of count %d", inBuckets, hs.Count)
+		}
+		if hs.Count > 0 && (math.IsInf(hs.Min, 0) || math.IsInf(hs.Max, 0)) {
+			t.Fatalf("count %d with extremes min=%v max=%v", hs.Count, hs.Min, hs.Max)
+		}
+		if q := hs.Quantile(0.5); math.IsInf(q, 0) || math.IsNaN(q) {
+			t.Fatalf("p50 = %v", q)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }

@@ -44,7 +44,10 @@ func (h HistogramSnapshot) Mean() float64 {
 
 // Quantile estimates the q-quantile (0 < q < 1) by linear
 // interpolation inside the covering bucket; observations in the
-// overflow bucket resolve to Max.
+// overflow bucket resolve to Max. The rank is taken over the bucket
+// counts rather than Count: a snapshot taken during concurrent Observe
+// calls may carry a Count ahead of the buckets, and ranking against it
+// would push the estimate to Max.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
 	if h.Count == 0 {
 		return 0
@@ -55,7 +58,11 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.Max
 	}
-	target := q * float64(h.Count)
+	total := h.Overflow
+	for _, b := range h.Buckets {
+		total += b.Count
+	}
+	target := q * float64(total)
 	acc := 0.0
 	lo := h.Min
 	for _, b := range h.Buckets {
@@ -120,19 +127,21 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	hs := HistogramSnapshot{
-		Count:   h.count.Load(),
-		Sum:     math.Float64frombits(h.sumBits.Load()),
-		Buckets: make([]BucketSnapshot, len(h.bounds)),
-	}
-	if hs.Count > 0 {
-		hs.Min = math.Float64frombits(h.minBits.Load())
-		hs.Max = math.Float64frombits(h.maxBits.Load())
-	}
+	// Read order mirrors Observe's write order (see the package doc):
+	// buckets and sum first, then the count, then min/max — so the count
+	// is never behind the bucket sums, and a nonzero count comes with
+	// finite extremes.
+	hs := HistogramSnapshot{Buckets: make([]BucketSnapshot, len(h.bounds))}
 	for i, le := range h.bounds {
 		hs.Buckets[i] = BucketSnapshot{LE: le, Count: h.buckets[i].Load()}
 	}
 	hs.Overflow = h.buckets[len(h.bounds)].Load()
+	hs.Sum = math.Float64frombits(h.sumBits.Load())
+	hs.Count = h.count.Load()
+	if hs.Count > 0 {
+		hs.Min = math.Float64frombits(h.minBits.Load())
+		hs.Max = math.Float64frombits(h.maxBits.Load())
+	}
 	return hs
 }
 

@@ -35,8 +35,9 @@ type Options struct {
 	MaxComponents int
 	// Seed seeds the subspace iteration (default 1).
 	Seed int64
-	// Parallel runs the subspace iteration's operator applications on
-	// separate goroutines; results are identical to the serial run.
+	// Parallel splits the subspace iteration's block of vectors into a
+	// few contiguous ranges applied on separate goroutines; results are
+	// identical to the serial run.
 	Parallel bool
 	// Workers bounds the goroutines used for the mean/Φ/variance build
 	// (fixed dimension tiles merged in index order). Zero picks
@@ -90,9 +91,7 @@ func (m *Model) prepare() {
 	m.prepOnce.Do(func() {
 		m.compT = m.Components.T()
 		m.meanOff = make([]float64, m.compT.Rows())
-		for j := range m.meanOff {
-			m.meanOff[j] = mat.Dot(m.compT.Row(j), m.Mean)
-		}
+		_ = m.compT.MulVecInto(m.meanOff, m.Mean)
 	})
 }
 
@@ -230,8 +229,11 @@ func (m *Model) ProjectInto(dst, v []float64) error {
 		return fmt.Errorf("pca: Project: dst length %d, want %d: %w", len(dst), lp, ErrTraining)
 	}
 	m.prepare()
-	for j := 0; j < lp; j++ {
-		dst[j] = mat.Dot(m.compT.Row(j), v) - m.meanOff[j]
+	// uᵀM four basis rows at a time (mat.Dot4 inside MulVecInto), each
+	// entry bit-identical to its own mat.Dot; the lengths are checked.
+	_ = m.compT.MulVecInto(dst, v)
+	for j := range dst {
+		dst[j] -= m.meanOff[j]
 	}
 	return nil
 }

@@ -22,8 +22,9 @@ type RefreshOptions struct {
 	MaxIter int
 	// Seed seeds the oversampling block's random rows (default 1).
 	Seed int64
-	// Parallel applies the covariance operator to the block vectors on
-	// separate goroutines; results are identical to the serial run.
+	// Parallel splits the block of vectors into a few contiguous ranges
+	// and applies the covariance operator to each on its own goroutine;
+	// results are identical to the serial run.
 	Parallel bool
 }
 

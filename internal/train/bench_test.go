@@ -26,3 +26,27 @@ func BenchmarkTrainEM(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCenteredApplyBlock times one block apply of the window
+// covariance at the paper's shape — L = 1,472 cells, a full 192-sample
+// window, a 17-vector block (L' = 9 plus the default oversampling of
+// 8), the product every warm refresh iteration takes. allocs/op must be
+// 0.
+func BenchmarkCenteredApplyBlock(b *testing.B) {
+	const l, window, block = 1472, 192, 17
+	c, err := NewCentered(l, window, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Update(sketchData(window, l, 1)); err != nil {
+		b.Fatal(err)
+	}
+	src := sketchData(block, l, 2)
+	dst := sketchData(block, l, 3)
+	c.Apply(dst, src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Apply(dst, src)
+	}
+}

@@ -13,7 +13,6 @@ package train
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/memheatmap/mhm/internal/mat"
 )
@@ -50,8 +49,6 @@ type Centered struct {
 	batch  [][]float64           // in-flight Update batch, read by the tile kernels
 	uChunk func(idx, worker int) // prebuilt Update dispatch (alloc-free steady state)
 	rChunk func(idx, worker int) // prebuilt Rebuild dispatch
-
-	scratch sync.Pool // per-Apply t vectors, length window
 }
 
 // NewCentered returns an empty sketch over l-dimensional samples with
@@ -87,10 +84,6 @@ func NewCentered(l, window, workers int) (*Centered, error) {
 			hi = c.l
 		}
 		c.rebuildTile(lo, hi, idx)
-	}
-	c.scratch.New = func() any {
-		s := make([]float64, window)
-		return &s
 	}
 	return c, nil
 }
@@ -224,33 +217,54 @@ func (c *Centered) TotalVar() float64 {
 	return tv
 }
 
-// Apply computes dst = C·src for the window covariance
-// C = (1/n)·Σ x xᵀ − μ μᵀ without materializing C, folding samples in
-// ascending slot order. Safe for concurrent use: the per-call scratch
-// comes from an internal pool, so steady-state iteration does not
-// allocate. Together with Dim this makes *Centered a mat.SymOp, feeding
-// warm-started subspace iteration directly.
+// Apply computes dst[v] = C·src[v] for the window covariance
+// C = (1/n)·Σ x xᵀ − μ μᵀ without materializing C, in one sweep over
+// the ring per block: four held samples at a time are dotted against
+// each block vector (mat.Dot4) and folded straight back into that
+// vector's output (mat.Axpy4) before the next four are read. Each
+// output element still accumulates the samples in ascending slot order
+// with the same rounding as one Dot and one Axpy per sample, so the
+// result is bit-identical for every block size and split. Safe for
+// concurrent use and allocation-free: the per-sample weights live in
+// registers, so no scratch is needed. Together with Dim this makes
+// *Centered a mat.SymOp, feeding warm-started subspace iteration
+// directly.
 //
 //mhm:deterministic
-func (c *Centered) Apply(dst, src []float64) {
-	for i := range dst {
-		dst[i] = 0
+//mhm:hotpath
+func (c *Centered) Apply(dst, src [][]float64) {
+	for _, d := range dst {
+		for i := range d {
+			d[i] = 0
+		}
 	}
 	if c.n == 0 {
 		return
 	}
-	tp := c.scratch.Get().(*[]float64)
-	defer c.scratch.Put(tp)
-	t := *tp
-	for s := 0; s < c.n; s++ {
-		t[s] = mat.Dot(c.x[s*c.l:(s+1)*c.l], src)
+	l := c.l
+	s := 0
+	for ; s+4 <= c.n; s += 4 {
+		x0 := c.x[s*l : (s+1)*l]
+		x1 := c.x[(s+1)*l : (s+2)*l]
+		x2 := c.x[(s+2)*l : (s+3)*l]
+		x3 := c.x[(s+3)*l : (s+4)*l]
+		for v, x := range src {
+			t0, t1, t2, t3 := mat.Dot4(x, x0, x1, x2, x3)
+			mat.Axpy4(dst[v], t0, t1, t2, t3, x0, x1, x2, x3)
+		}
 	}
-	for s := 0; s < c.n; s++ {
-		mat.Axpy(t[s], c.x[s*c.l:(s+1)*c.l], dst)
+	for ; s < c.n; s++ {
+		xs := c.x[s*l : (s+1)*l]
+		for v, x := range src {
+			mat.Axpy(mat.Dot(xs, x), xs, dst[v])
+		}
 	}
-	ms := mat.Dot(c.mean, src)
 	inv := 1 / float64(c.n)
-	for i := range dst {
-		dst[i] = dst[i]*inv - c.mean[i]*ms
+	for v, x := range src {
+		ms := mat.Dot(c.mean, x)
+		d := dst[v]
+		for i := range d {
+			d[i] = d[i]*inv - c.mean[i]*ms
+		}
 	}
 }

@@ -122,7 +122,7 @@ func TestCenteredWorkerBitIdentity(t *testing.T) {
 	base := run(1)
 	src := sketchData(1, l, 8)[0]
 	baseDst := make([]float64, l)
-	base.Apply(baseDst, src)
+	base.Apply([][]float64{baseDst}, [][]float64{src})
 	for _, workers := range []int{2, 8} {
 		got := run(workers)
 		for i := range base.mean {
@@ -137,7 +137,7 @@ func TestCenteredWorkerBitIdentity(t *testing.T) {
 			t.Fatalf("workers=%d: TotalVar differs", workers)
 		}
 		dst := make([]float64, l)
-		got.Apply(dst, src)
+		got.Apply([][]float64{dst}, [][]float64{src})
 		for i := range dst {
 			if math.Float64bits(dst[i]) != math.Float64bits(baseDst[i]) {
 				t.Fatalf("workers=%d: Apply[%d] differs", workers, i)
@@ -169,7 +169,7 @@ func TestCenteredApplyMatchesExplicit(t *testing.T) {
 	}
 	src := sketchData(1, l, 9)[0]
 	got := make([]float64, l)
-	c.Apply(got, src)
+	c.Apply([][]float64{got}, [][]float64{src})
 	for i := 0; i < l; i++ {
 		want := 0.0
 		for j := 0; j < l; j++ {
@@ -201,5 +201,80 @@ func TestCenteredUpdateAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Centered.Update allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// refCenteredApply is the one-vector covariance apply the block path
+// replaced — every dot first, then one Axpy per held sample — kept as
+// the bit-identity oracle.
+func refCenteredApply(c *Centered, dst, src []float64) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	t := make([]float64, c.n)
+	for s := 0; s < c.n; s++ {
+		t[s] = mat.Dot(c.Sample(s), src)
+	}
+	for s := 0; s < c.n; s++ {
+		mat.Axpy(t[s], c.Sample(s), dst)
+	}
+	ms := mat.Dot(c.mean, src)
+	inv := 1 / float64(c.n)
+	for i := range dst {
+		dst[i] = dst[i]*inv - c.mean[i]*ms
+	}
+}
+
+// TestCenteredBlockApplyMatchesSingleVector checks the block apply at
+// every block size from 1 to 17 and at window fills with every sample
+// remainder of the four-sample sweep: each output row must equal the
+// same sketch applied to a block of one, and the one-vector oracle, bit
+// for bit.
+func TestCenteredBlockApplyMatchesSingleVector(t *testing.T) {
+	const l = 37
+	for _, fill := range []int{1, 2, 3, 4, 29, 70} {
+		c, err := NewCentered(l, 64, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Update(sketchData(fill, l, int64(fill))); err != nil {
+			t.Fatal(err)
+		}
+		for b := 1; b <= 17; b++ {
+			src := sketchData(b, l, int64(100+b))
+			dst := sketchData(b, l, 7) // stale contents must be overwritten
+			c.Apply(dst, src)
+			one := [][]float64{make([]float64, l)}
+			want := make([]float64, l)
+			for v := range src {
+				c.Apply(one, src[v:v+1])
+				refCenteredApply(c, want, src[v])
+				for i := range want {
+					if math.Float64bits(dst[v][i]) != math.Float64bits(one[0][i]) {
+						t.Fatalf("fill %d block %d: row %d[%d] differs from the block of one", fill, b, v, i)
+					}
+					if math.Float64bits(dst[v][i]) != math.Float64bits(want[i]) {
+						t.Fatalf("fill %d block %d: row %d[%d] = %v, oracle %v", fill, b, v, i, dst[v][i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCenteredApplyAllocationFree pins the steady-state zero-alloc
+// contract of the block apply.
+func TestCenteredApplyAllocationFree(t *testing.T) {
+	const l, window = 300, 40
+	c, err := NewCentered(l, window, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Update(sketchData(window, l, 5)); err != nil {
+		t.Fatal(err)
+	}
+	src, dst := sketchData(17, l, 6), sketchData(17, l, 7)
+	if allocs := testing.AllocsPerRun(20, func() { c.Apply(dst, src) }); allocs != 0 {
+		t.Fatalf("Centered.Apply allocated %.1f/op, want 0", allocs)
 	}
 }
