@@ -22,6 +22,13 @@ func IsZero(x float64) bool {
 	return x == 0
 }
 
+// IsFinite reports whether x is neither NaN nor ±Inf.
+//
+//mhm:hotpath
+func IsFinite(x float64) bool {
+	return x-x == 0
+}
+
 // EqTol reports whether a and b agree within the absolute tolerance tol.
 // Equal infinities compare true; any NaN operand compares false.
 func EqTol(a, b, tol float64) bool {

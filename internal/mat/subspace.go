@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,6 +23,21 @@ type SymOp interface {
 	// applying the operator to the block {src[v]} alone, so callers may
 	// split a block into ranges freely.
 	Apply(dst, src [][]float64)
+}
+
+// Restricter is a SymOp whose matrix is exactly zero outside a known
+// set of coordinates, its support. EigenSymTopK runs subspace iteration
+// on the support alone when the operator offers it.
+type Restricter interface {
+	SymOp
+	// Restrict returns the support in ascending order and the same
+	// operator built on its data gathered onto those coordinates: for a
+	// finite block x, sub.Apply of x gathered onto the support is
+	// bit-identical to Apply of x, gathered, and whenever that output is
+	// finite Apply leaves every coordinate off the support at exactly +0.
+	// sub is nil when the support is empty or all of Dim, or when the
+	// data holds a NaN or ±Inf (0·∞ is NaN, so the zeros would matter).
+	Restrict() (support []int, sub SymOp)
 }
 
 // DenseOp adapts a symmetric *Matrix to the SymOp interface.
@@ -135,6 +151,36 @@ func (g *GramOp) Apply(dst, src [][]float64) {
 	g.scratch.Put(tp)
 }
 
+// Restrict returns the rows of A that hold a nonzero entry and the Gram
+// operator of those rows alone (the Restricter contract): a zero row of
+// A is a zero row and column of C. The gathered rows are copied, so
+// the restricted operator does not alias A.
+//
+//mhm:deterministic
+func (g *GramOp) Restrict() ([]int, SymOp) {
+	var support []int
+	for i := 0; i < g.A.Rows(); i++ {
+		nonzero := false
+		for _, v := range g.A.Row(i) {
+			if !IsFinite(v) {
+				return nil, nil
+			}
+			nonzero = nonzero || v != 0
+		}
+		if nonzero {
+			support = append(support, i)
+		}
+	}
+	if len(support) == 0 || len(support) == g.A.Rows() {
+		return support, nil
+	}
+	sub := New(len(support), g.A.Cols())
+	for r, i := range support {
+		copy(sub.Row(r), g.A.Row(i))
+	}
+	return support, NewGramOp(sub)
+}
+
 // axpyNonZero is Axpy that skips a zero scale.
 //
 //mhm:hotpath
@@ -243,7 +289,9 @@ func (o *TopKOptions) fill(dim, k int) {
 // EigenSymTopK computes the k largest eigenpairs of the symmetric PSD
 // operator op by block subspace (orthogonal) iteration with a Rayleigh-
 // Ritz projection each round. Eigenvalues come back in decreasing order;
-// eigenvectors are the columns of the returned matrix.
+// eigenvectors are the columns of the returned matrix. When op is a
+// Restricter whose support holds at least the block, the iteration
+// runs on the support alone, bit-identical to the full run.
 func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 	n := op.Dim()
 	if k <= 0 || k > n {
@@ -252,6 +300,33 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 	opts.fill(n, k)
 	b := k + opts.Oversample // block size
 
+	q, err := startBlock(n, b, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Iterate on the operator's support when it has one (DESIGN.md
+	// §14.2). After the first apply every block vector is exactly +0 off
+	// the support, and adding ±0 to an accumulator that starts at +0
+	// changes nothing, so the restricted run reproduces the full run bit
+	// for bit until a step whose bits depend on the dropped coordinates:
+	// a collapsed row (the full run draws a replacement of length n) or
+	// an overflow (off the support the full run would compute 0·∞ =
+	// NaN). It stops there, and the full run starts over from the same
+	// start block.
+	if r, ok := op.(Restricter); ok {
+		if support, sub := r.Restrict(); sub != nil && len(support) >= b {
+			if es, err := iterate(sub, gatherRows(q, support), k, opts, support, n); err == nil {
+				return es, nil
+			}
+		}
+	}
+	return iterate(op, q, k, opts, nil, n)
+}
+
+// startBlock returns the orthonormalized start block: b rows of length
+// n, the leading ones copied from the columns of opts.Init and the rest
+// drawn from the seeded generator.
+func startBlock(n, b int, opts TopKOptions) ([][]float64, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	// Block of b column vectors, stored as rows of q (b x n) for locality.
 	q := newBlock(b, n)
@@ -275,11 +350,39 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 			row[j] = rng.NormFloat64()
 		}
 	}
-	if err := orthonormalizeRows(q); err != nil {
+	if err := orthonormalizeRows(q, true); err != nil {
 		return nil, err
 	}
+	return q, nil
+}
 
-	z, next := newBlock(b, n), newBlock(b, n)
+// errRestricted stops a restricted run (see EigenSymTopK) at the first
+// step the full run would take differently.
+var errRestricted = errors.New("mat: EigenSymTopK: restricted run left the support")
+
+// gatherRows returns the block q restricted to the support coordinates.
+func gatherRows(q [][]float64, support []int) [][]float64 {
+	out := newBlock(len(q), len(support))
+	for v, row := range q {
+		for i, j := range support {
+			out[v][i] = row[j]
+		}
+	}
+	return out
+}
+
+// iterate runs block subspace iteration on op from the orthonormal
+// start block q and returns the leading k Ritz pairs with vectors of
+// length n. A non-nil support makes it the restricted run: op acts on
+// the support coordinates, the vectors are scattered back with zeros
+// elsewhere, and it returns errRestricted instead of replacing a
+// collapsed row or returning a non-finite Rayleigh quotient. (A
+// non-finite operator output inside the loop poisons the next block,
+// which then collapses.)
+func iterate(op SymOp, q [][]float64, k int, opts TopKOptions, support []int, n int) (*Eigen, error) {
+	b, dim := len(q), op.Dim()
+	restricted := support != nil
+	z, next := newBlock(b, dim), newBlock(b, dim)
 	parts := blockParts(b, opts.Parallel)
 	prev := make([]float64, k)
 	var ritzVals []float64
@@ -321,7 +424,7 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 				}
 			}
 		}
-		if err := orthonormalizeRows(next); err != nil {
+		if err := orthonormalizeRows(next, !restricted); err != nil {
 			return nil, err
 		}
 		q, next = next, q
@@ -351,8 +454,15 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 	vals := make([]float64, k)
 	for c, row := range q[:k] {
 		vals[c] = Dot(row, z[c])
-		for i := 0; i < n; i++ {
-			ritzVecs.Set(i, c, row[i])
+		if restricted && !IsFinite(vals[c]) {
+			return nil, errRestricted
+		}
+		for i, v := range row {
+			j := i
+			if restricted {
+				j = support[i]
+			}
+			ritzVecs.Set(j, c, v)
 		}
 	}
 	// The Ritz pairs can come out of order by tiny amounts; sort.
@@ -361,10 +471,11 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 }
 
 // orthonormalizeRows applies modified Gram-Schmidt to the rows of q in
-// place. Rows that collapse to (near) zero are replaced by fresh random
-// directions orthogonal to the earlier rows; this keeps subspace
-// iteration full-rank when the operator has low numerical rank.
-func orthonormalizeRows(q [][]float64) error {
+// place. With replace set, rows that collapse to (near) zero are
+// replaced by fresh random directions orthogonal to the earlier rows;
+// this keeps subspace iteration full-rank when the operator has low
+// numerical rank. Without it a collapse returns errRestricted.
+func orthonormalizeRows(q [][]float64, replace bool) error {
 	rng := rand.New(rand.NewSource(42))
 	for i, ri := range q {
 		for attempt := 0; ; attempt++ {
@@ -373,6 +484,9 @@ func orthonormalizeRows(q [][]float64) error {
 			}
 			if Normalize(ri) > 1e-12 {
 				break
+			}
+			if !replace {
+				return errRestricted
 			}
 			if attempt >= 5 {
 				return fmt.Errorf("mat: orthonormalizeRows: row %d keeps collapsing: %w", i, ErrSingular)

@@ -233,38 +233,122 @@ func (c *Centered) TotalVar() float64 {
 //mhm:deterministic
 //mhm:hotpath
 func (c *Centered) Apply(dst, src [][]float64) {
+	applyCentered(c.x, c.mean, c.l, c.n, dst, src)
+}
+
+// Restrict returns the window's support — the cells some held sample
+// touches, plus the cells where the window mean is nonzero (evictions
+// can leave a rounding residue in the running sums of cells no held
+// sample touches) — and the window covariance on those cells alone,
+// over a gathered copy of the ring and the mean (the mat.Restricter
+// contract). The operator is nil when the support is empty or every
+// cell, or when a held sample or the mean has a NaN or ±Inf entry.
+//
+//mhm:deterministic
+func (c *Centered) Restrict() ([]int, mat.SymOp) {
+	touched := make([]bool, c.l)
+	if !markTouched(touched, c.mean) {
+		return nil, nil
+	}
+	for s := 0; s < c.n; s++ {
+		if !markTouched(touched, c.Sample(s)) {
+			return nil, nil
+		}
+	}
+	var support []int
+	for i, t := range touched {
+		if t {
+			support = append(support, i)
+		}
+	}
+	if len(support) == 0 || len(support) == c.l {
+		return support, nil
+	}
+	m := len(support)
+	sub := &centeredOn{l: m, n: c.n, x: make([]float64, c.n*m), mean: make([]float64, m)}
+	for s := 0; s < c.n; s++ {
+		row, dst := c.Sample(s), sub.x[s*m:(s+1)*m]
+		for k, i := range support {
+			dst[k] = row[i]
+		}
+	}
+	for k, i := range support {
+		sub.mean[k] = c.mean[i]
+	}
+	return support, sub
+}
+
+// markTouched sets touched[i] for every nonzero row[i] and reports
+// whether the row is finite.
+func markTouched(touched []bool, row []float64) bool {
+	for i, v := range row {
+		if mat.IsZero(v) {
+			continue
+		}
+		if !mat.IsFinite(v) {
+			return false
+		}
+		touched[i] = true
+	}
+	return true
+}
+
+// centeredOn is a window covariance over a gathered ring and mean: the
+// operator Centered.Restrict returns.
+type centeredOn struct {
+	l, n    int
+	x, mean []float64
+}
+
+// Dim returns the number of gathered cells.
+func (c *centeredOn) Dim() int { return c.l }
+
+// Apply is Centered.Apply over the gathered cells.
+//
+//mhm:deterministic
+//mhm:hotpath
+func (c *centeredOn) Apply(dst, src [][]float64) {
+	applyCentered(c.x, c.mean, c.l, c.n, dst, src)
+}
+
+// applyCentered computes dst[v] = C·src[v] for the covariance of the
+// first n rows of the row-major ring x (rows of length l) with mean
+// mean — the body Centered.Apply and its gathered form share.
+//
+//mhm:deterministic
+//mhm:hotpath
+func applyCentered(x, mean []float64, l, n int, dst, src [][]float64) {
 	for _, d := range dst {
 		for i := range d {
 			d[i] = 0
 		}
 	}
-	if c.n == 0 {
+	if n == 0 {
 		return
 	}
-	l := c.l
 	s := 0
-	for ; s+4 <= c.n; s += 4 {
-		x0 := c.x[s*l : (s+1)*l]
-		x1 := c.x[(s+1)*l : (s+2)*l]
-		x2 := c.x[(s+2)*l : (s+3)*l]
-		x3 := c.x[(s+3)*l : (s+4)*l]
-		for v, x := range src {
-			t0, t1, t2, t3 := mat.Dot4(x, x0, x1, x2, x3)
+	for ; s+4 <= n; s += 4 {
+		x0 := x[s*l : (s+1)*l]
+		x1 := x[(s+1)*l : (s+2)*l]
+		x2 := x[(s+2)*l : (s+3)*l]
+		x3 := x[(s+3)*l : (s+4)*l]
+		for v, xv := range src {
+			t0, t1, t2, t3 := mat.Dot4(xv, x0, x1, x2, x3)
 			mat.Axpy4(dst[v], t0, t1, t2, t3, x0, x1, x2, x3)
 		}
 	}
-	for ; s < c.n; s++ {
-		xs := c.x[s*l : (s+1)*l]
-		for v, x := range src {
-			mat.Axpy(mat.Dot(xs, x), xs, dst[v])
+	for ; s < n; s++ {
+		xs := x[s*l : (s+1)*l]
+		for v, xv := range src {
+			mat.Axpy(mat.Dot(xs, xv), xs, dst[v])
 		}
 	}
-	inv := 1 / float64(c.n)
-	for v, x := range src {
-		ms := mat.Dot(c.mean, x)
+	inv := 1 / float64(n)
+	for v, xv := range src {
+		ms := mat.Dot(mean, xv)
 		d := dst[v]
 		for i := range d {
-			d[i] = d[i]*inv - c.mean[i]*ms
+			d[i] = d[i]*inv - mean[i]*ms
 		}
 	}
 }
