@@ -28,6 +28,7 @@ import (
 	"github.com/memheatmap/mhm/internal/ensemble"
 	"github.com/memheatmap/mhm/internal/gmm"
 	"github.com/memheatmap/mhm/internal/heatmap"
+	"github.com/memheatmap/mhm/internal/mat"
 	"github.com/memheatmap/mhm/internal/pca"
 	"github.com/memheatmap/mhm/internal/score"
 	"github.com/memheatmap/mhm/internal/stats"
@@ -40,6 +41,9 @@ var ErrConfig = errors.New("refresh: invalid config")
 // ErrNotReady reports a Refresh attempted before the training window
 // holds enough samples for the model's dimensionality.
 var ErrNotReady = errors.New("refresh: training window not ready")
+
+// ErrNonFinite reports an observed vector with a NaN or ±Inf entry.
+var ErrNonFinite = errors.New("refresh: non-finite interval vector")
 
 // Config tunes a Refresher.
 type Config struct {
@@ -231,12 +235,20 @@ func New(det *core.Detector, cfg Config) (*Refresher, error) {
 // MHM vector and the log density the live model assigned it. Every
 // HoldoutEvery-th interval lands in the held-out calibration ring; the
 // rest update the training sketch. The density drives the drift CUSUM.
-// Zero allocations in steady state; v is copied, not retained.
+// A vector with a NaN or ±Inf entry is rejected before any state
+// changes: in the holdout it would drag θ_p to −Inf, and in the sketch
+// it would poison the running sums for good. Zero allocations in
+// steady state; v is copied, not retained.
 //
 //mhm:deterministic
 func (r *Refresher) Observe(v []float64, logDensity float64) error {
 	if len(v) != r.l {
 		return fmt.Errorf("refresh: vector length %d, want %d: %w", len(v), r.l, ErrConfig)
+	}
+	for i, x := range v {
+		if !mat.IsFinite(x) {
+			return fmt.Errorf("refresh: vector entry %d is %v: %w", i, x, ErrNonFinite)
+		}
 	}
 	r.seen++
 	if r.chanOK {

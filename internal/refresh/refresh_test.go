@@ -352,3 +352,62 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("nil detector: %v", err)
 	}
 }
+
+// TestObserveRejectsNonFinite feeds one vector with a single NaN or
+// ±Inf cell amid clean intervals, positioned so that it would be routed
+// to the holdout (the 92nd observation) or to the sketch (the 91st).
+// Observe must reject it with ErrNonFinite and leave every piece of
+// state alone — the seen counter, the CUSUM, both rings — so the next
+// refresh is bit-identical to a run that never saw it.
+func TestObserveRejectsNonFinite(t *testing.T) {
+	wl, det := fixture(t)
+	cfg := Config{Window: 64, Holdout: 24, HoldoutEvery: 4}
+	l := fleet.SimRegion.Cells()
+	for _, before := range []int{91, 90} {
+		for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			clean := newRefresher(t, det, cfg)
+			r := newRefresher(t, det, cfg)
+			for _, x := range []*Refresher{clean, r} {
+				feed(t, x, wl, det, 0, 60, false)
+				if _, err := x.Refresh(); err != nil { // fits the drift channel
+					t.Fatal(err)
+				}
+				feed(t, x, wl, det, 60, before-60, false)
+			}
+			v := make([]float64, l)
+			wl.VectorInto(v, 1, 400, false)
+			d, err := det.LogDensityVector(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v[l/2] = bad
+			if err := r.Observe(v, d); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("after %d: observing a %v cell: err = %v, want ErrNonFinite", before, bad, err)
+			}
+			if r.DriftStat() != clean.DriftStat() {
+				t.Fatalf("after %d: rejected %v moved the CUSUM: %v, want %v", before, bad, r.DriftStat(), clean.DriftStat())
+			}
+			want := refreshOutcomeAfter(t, clean, wl, det, before)
+			if got := refreshOutcomeAfter(t, r, wl, det, before); got != want {
+				t.Errorf("after %d, rejected %v: next refresh %s, want %s", before, bad, got, want)
+			}
+		}
+	}
+}
+
+// refreshOutcomeAfter feeds nine more clean intervals from start, then
+// refreshes, and renders the result; it also checks the recalibrated
+// thresholds are finite.
+func refreshOutcomeAfter(t *testing.T, r *Refresher, wl *fleet.Workload, det *core.Detector, start int) string {
+	t.Helper()
+	feed(t, r, wl, det, start, 9, false)
+	res, err := r.Refresh()
+	if err == nil {
+		for _, th := range res.Detector.Thresholds {
+			if math.IsInf(th.Theta, 0) || math.IsNaN(th.Theta) {
+				t.Fatalf("θ_%g = %v", th.P, th.Theta)
+			}
+		}
+	}
+	return refreshOutcome(res, err)
+}
