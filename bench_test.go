@@ -20,7 +20,6 @@ import (
 	"github.com/memheatmap/mhm/internal/memometer"
 	"github.com/memheatmap/mhm/internal/obs"
 	"github.com/memheatmap/mhm/internal/pca"
-	"github.com/memheatmap/mhm/internal/pipeline"
 	"github.com/memheatmap/mhm/internal/trace"
 	"github.com/memheatmap/mhm/internal/workload"
 )
@@ -226,25 +225,6 @@ func BenchmarkScoreBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkShardedPipeline times the multi-stream online scorer end to
-// end: submit, queue, shard worker scoring, record append. ns/op is per
-// interval across 4 concurrent streams.
-func BenchmarkShardedPipeline(b *testing.B) {
-	fixtures(b)
-	const streams = 4
-	sh, err := pipeline.NewSharded(fixDet, streams, pipeline.ShardedConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sh.Submit(i%streams, fixMaps[i%len(fixMaps)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	sh.Close()
 }
 
 // BenchmarkSessionSimulation times the monitored-core substrate: one
@@ -592,10 +572,7 @@ func BenchmarkFusedTraceScore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg, err := ts.Device().Config()
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := memometer.Config{Region: fixDet9.Region, IntervalMicros: fusedIntervalMicros}
 	b.ResetTimer()
 	for done := 0; done < b.N; done += fusedIntervals {
 		// Reconfiguring rewinds the device clock so the same capture can

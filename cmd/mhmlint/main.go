@@ -4,8 +4,10 @@
 //	mhmlint [-json] [-sarif] [-only a,b] [-disable a,b] [-list] ./...
 //
 // Analyzers: atomicfield, nilreceiver, hotpath, floateq, errdrop,
-// detorder, lockorder, goleak — each enforcing one of the invariants in
-// DESIGN.md "Enforced invariants". Findings are suppressed with
+// detorder, lockorder, goleak, deadapi — each enforcing one of the
+// invariants in DESIGN.md "Enforced invariants". deadapi scans the whole
+// module for references whatever packages are named, so a run over a
+// subset reports nothing a full run would not. Findings are suppressed with
 // `//mhmlint:ignore <analyzer> <reason>` on the offending line or the
 // line above. -sarif emits SARIF 2.1.0 for CI annotation uploads.
 //

@@ -127,7 +127,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	names := []string{
 		"atomicfield", "nilreceiver", "hotpath", "floateq", "errdrop",
-		"detorder", "lockorder", "goleak",
+		"detorder", "lockorder", "goleak", "deadapi",
 	}
 	for _, name := range names {
 		if !strings.Contains(stdout, name) {
@@ -381,8 +381,8 @@ func Leak() {
 }
 `
 
-// TestWorstCasePackage generates a package that trips all eight
-// analyzers and checks each one fires.
+// TestWorstCasePackage generates a package that trips every analyzer
+// and checks each one fires.
 func TestWorstCasePackage(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module example.com/worst\n\ngo 1.21\n"), 0o644); err != nil {

@@ -116,9 +116,6 @@ func (r *Runtime) Observe(anomalous bool, endTime int64) *Event {
 	return ev
 }
 
-// Raised reports the current alarm state.
-func (r *Runtime) Raised() bool { return r.raised }
-
 // Events returns every transition so far.
 func (r *Runtime) Events() []Event {
 	out := make([]Event, len(r.events))

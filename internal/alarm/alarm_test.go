@@ -44,7 +44,7 @@ func TestRaiseAfterConsecutiveAnomalies(t *testing.T) {
 	if len(evs) != 1 || !evs[0].Raised || evs[0].Interval != 5 {
 		t.Fatalf("events = %+v", evs)
 	}
-	if !r.Raised() {
+	if !r.raised {
 		t.Error("not raised after raise event")
 	}
 	if evs[0].Time != 50_000 {
@@ -66,7 +66,7 @@ func TestClearAfterConsecutiveNormals(t *testing.T) {
 	if evs[1].Raised || evs[1].Interval != 5 {
 		t.Errorf("second event = %+v", evs[1])
 	}
-	if r.Raised() {
+	if r.raised {
 		t.Error("still raised after clear")
 	}
 }

@@ -61,8 +61,6 @@ type ICache struct {
 	ways     int
 	// tags[set] holds up to `ways` line tags in MRU-first order.
 	tags [][]uint64
-
-	hits, misses uint64
 }
 
 // New builds a cache from cfg (zero fields take the defaults).
@@ -94,12 +92,10 @@ func (c *ICache) Access(addr uint64) bool {
 			// Hit: move to MRU.
 			copy(ways[1:i+1], ways[:i])
 			ways[0] = line
-			c.hits++
 			return false
 		}
 	}
 	// Miss: insert at MRU, evict LRU if full.
-	c.misses++
 	if len(ways) < c.ways {
 		ways = append(ways, 0)
 	}
@@ -131,24 +127,4 @@ func (c *ICache) AccessBurst(addr uint64, count uint32) uint32 {
 		}
 	}
 	return miss
-}
-
-// Stats returns the hit and miss counts so far.
-func (c *ICache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// MissRatio returns misses/(hits+misses), 0 before any access.
-func (c *ICache) MissRatio() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(total)
-}
-
-// Flush invalidates every line (e.g. across a simulated context of
-// interest) and keeps the statistics.
-func (c *ICache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = c.tags[i][:0]
-	}
 }

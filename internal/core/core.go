@@ -119,8 +119,8 @@ type Detector struct {
 	scoreHist *obs.Histogram
 
 	// scoring is the fused engine + pooled scratch (see scoring.go). A
-	// pointer so Detector values stay copyable; nil (hand-assembled
-	// detectors) falls back to the allocating staged path.
+	// pointer so Detector values stay copyable; nil only in a literal no
+	// constructor built, which every scoring method rejects.
 	scoring *scoring
 }
 
@@ -170,8 +170,11 @@ func Train(trainSet, calib []*heatmap.HeatMap, cfg Config) (*Detector, error) {
 		return nil, fmt.Errorf("core: GMM training: %w", err)
 	}
 
-	d := &Detector{Region: region, PCA: pcaModel, GMM: gmmModel}
-	d.scoring = newScoring(region.Cells(), pcaModel, gmmModel)
+	rt, err := newScoring(region, pcaModel, gmmModel)
+	if err != nil {
+		return nil, err
+	}
+	d := &Detector{Region: region, PCA: pcaModel, GMM: gmmModel, scoring: rt}
 
 	// Calibrate thresholds on the held-out normal set, batched through
 	// the fused engine.
@@ -223,29 +226,20 @@ func Train(trainSet, calib []*heatmap.HeatMap, cfg Config) (*Detector, error) {
 // NewDetector assembles a detector from already-trained models with the
 // fused scoring runtime installed — the constructor behind the refresh
 // loop, which re-derives its models incrementally instead of calling
-// Train. Thresholds are the caller's (typically recalibrated on a
-// sliding held-out window) and are sorted by P here; they may be empty
-// when only raw densities are needed. The models are referenced, not
-// copied, and must not be mutated afterwards.
+// Train. It fails, like Train and Load, when the models do not fuse with
+// each other or with the region. Thresholds are the caller's (typically
+// recalibrated on a sliding held-out window) and are sorted by P here;
+// they may be empty when only raw densities are needed. The models are
+// referenced, not copied, and must not be mutated afterwards.
 func NewDetector(region heatmap.Def, pcaModel *pca.Model, gmmModel *gmm.Model, thresholds []Threshold) (*Detector, error) {
-	if pcaModel == nil || gmmModel == nil {
-		return nil, fmt.Errorf("core: NewDetector: nil model: %w", ErrConfig)
+	rt, err := newScoring(region, pcaModel, gmmModel)
+	if err != nil {
+		return nil, err
 	}
-	l, lp := pcaModel.Dim()
-	if l != region.Cells() {
-		return nil, fmt.Errorf("core: NewDetector: %d eigenmemory dims for a %d-cell region: %w", l, region.Cells(), ErrRegionMismatch)
-	}
-	if d := gmmModel.Dim(); d != lp {
-		return nil, fmt.Errorf("core: NewDetector: mixture dim %d, basis %d: %w", d, lp, ErrConfig)
-	}
-	d := &Detector{Region: region, PCA: pcaModel, GMM: gmmModel}
+	d := &Detector{Region: region, PCA: pcaModel, GMM: gmmModel, scoring: rt}
 	if len(thresholds) > 0 {
 		d.Thresholds = append([]Threshold(nil), thresholds...)
 		sort.Slice(d.Thresholds, func(i, j int) bool { return d.Thresholds[i].P < d.Thresholds[j].P })
-	}
-	d.scoring = newScoring(region.Cells(), pcaModel, gmmModel)
-	if d.scoring == nil {
-		return nil, fmt.Errorf("core: NewDetector: models do not fuse (covariance not SPD?): %w", ErrConfig)
 	}
 	return d, nil
 }
@@ -282,19 +276,20 @@ func projectAll(m *pca.Model, vectors [][]float64, workers int) ([][]float64, er
 }
 
 // Residual returns the MHM's reconstruction RMS error — its distance
-// from the learned memory subspace. With a scoring runtime (detectors
-// from Train or Load) the per-call path is allocation-free.
+// from the learned memory subspace. The per-call path is
+// allocation-free.
 func (d *Detector) Residual(m *heatmap.HeatMap) (float64, error) {
+	rt, err := d.runtime()
+	if err != nil {
+		return 0, err
+	}
 	if m.Def != d.Region {
 		return 0, fmt.Errorf("core: got %+v, trained on %+v: %w", m.Def, d.Region, ErrRegionMismatch)
 	}
-	if rt := d.scoring; rt != nil {
-		s := rt.pool.Get().(*detScratch)
-		defer rt.pool.Put(s)
-		m.VectorInto(s.vbuf)
-		return d.PCA.ReconstructionErrorInto(s.w, s.rec, s.vbuf)
-	}
-	return d.PCA.ReconstructionError(m.Vector())
+	s := rt.pool.Get().(*detScratch)
+	defer rt.pool.Put(s)
+	m.VectorInto(s.vbuf)
+	return d.PCA.ReconstructionErrorInto(s.w, s.rec, s.vbuf)
 }
 
 // ResidualThreshold returns the residual bound for a calibrated quantile.
@@ -337,12 +332,12 @@ func (d *Detector) Dim() (int, int) { return d.PCA.Dim() }
 // evaluate the mixture log density (the y-axis of the paper's Figs.
 // 7/8/10).
 func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
+	rt, err := d.runtime()
+	if err != nil {
+		return 0, err
+	}
 	if m.Def != d.Region {
 		return 0, fmt.Errorf("core: got %+v, trained on %+v: %w", m.Def, d.Region, ErrRegionMismatch)
-	}
-	rt := d.scoring
-	if rt == nil {
-		return d.LogDensityVector(m.Vector())
 	}
 	s := rt.pool.Get().(*detScratch)
 	defer rt.pool.Put(s)
@@ -350,22 +345,12 @@ func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
 	return d.scoreVector(s, s.vbuf)
 }
 
-// LogDensityVector scores a raw MHM vector (length L). With a scoring
-// runtime (detectors from Train or Load) this is allocation-free and
-// safe for concurrent use; scores are bit-identical either way.
+// LogDensityVector scores a raw MHM vector (length L), allocation-free
+// and safe for concurrent use.
 func (d *Detector) LogDensityVector(v []float64) (float64, error) {
-	rt := d.scoring
-	if rt == nil {
-		// Hand-assembled detector: staged, allocating path.
-		sw := d.projHist.Start()
-		w, err := d.PCA.Project(v)
-		sw = sw.Handoff(d.scoreHist)
-		if err != nil {
-			return 0, err
-		}
-		lp, err := d.GMM.LogProb(w)
-		sw.Stop()
-		return lp, err
+	rt, err := d.runtime()
+	if err != nil {
+		return 0, err
 	}
 	s := rt.pool.Get().(*detScratch)
 	defer rt.pool.Put(s)
@@ -412,61 +397,6 @@ func (d *Detector) Classify(m *heatmap.HeatMap, p float64) (anomalous bool, logD
 		return false, 0, err
 	}
 	return lp < theta, lp, nil
-}
-
-// Recalibrate re-derives the detector's thresholds (and residual
-// thresholds, when previously calibrated) from a fresh normal
-// calibration set, keeping the learned PCA/GMM models. This is the
-// cheap answer to threshold drift under legitimate behaviour change
-// (§5.5's false-positive concern): refresh θ_p in the field without
-// retraining.
-func (d *Detector) Recalibrate(calib []*heatmap.HeatMap) error {
-	if len(calib) == 0 {
-		return fmt.Errorf("core: empty recalibration set: %w", ErrConfig)
-	}
-	for i, m := range calib {
-		if m.Def != d.Region {
-			return fmt.Errorf("core: recalibration MHM %d: %w", i, ErrRegionMismatch)
-		}
-	}
-	vecs, err := heatmap.PackVectors(calib)
-	if err != nil {
-		return fmt.Errorf("core: recalibration: %w", err)
-	}
-	densities := make([]float64, len(calib))
-	if err := d.scoreVectors(densities, vecs); err != nil {
-		return fmt.Errorf("core: recalibration: %w", err)
-	}
-	newThresholds := make([]Threshold, len(d.Thresholds))
-	for i, th := range d.Thresholds {
-		theta, err := stats.Quantile(densities, th.P)
-		if err != nil {
-			return err
-		}
-		newThresholds[i] = Threshold{P: th.P, Theta: theta}
-	}
-	var newResidual []Threshold
-	if len(d.ResidualThresholds) > 0 {
-		residuals := make([]float64, len(calib))
-		for i, m := range calib {
-			r, err := d.Residual(m)
-			if err != nil {
-				return fmt.Errorf("core: recalibration residual %d: %w", i, err)
-			}
-			residuals[i] = r
-		}
-		newResidual = make([]Threshold, len(d.ResidualThresholds))
-		for i, th := range d.ResidualThresholds {
-			theta, err := stats.Quantile(residuals, 1-th.P)
-			if err != nil {
-				return err
-			}
-			newResidual[i] = Threshold{P: th.P, Theta: theta}
-		}
-	}
-	d.Thresholds = newThresholds
-	d.ResidualThresholds = newResidual
-	return nil
 }
 
 // Verdict is one interval's classification result.
@@ -553,7 +483,9 @@ func (d *Detector) Save(w io.Writer) error {
 	})
 }
 
-// Load reads a detector produced by Save.
+// Load reads a detector produced by Save. It fails, like Train and
+// NewDetector, when the models do not fuse with each other or with the
+// region.
 func Load(r io.Reader) (*Detector, error) {
 	var dj detectorJSON
 	if err := json.NewDecoder(r).Decode(&dj); err != nil {
@@ -570,13 +502,16 @@ func Load(r io.Reader) (*Detector, error) {
 	if err := dj.Region.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Detector{
+	rt, err := newScoring(dj.Region, pcaModel, gmmModel)
+	if err != nil {
+		return nil, err
+	}
+	return &Detector{
 		Region:             dj.Region,
 		PCA:                pcaModel,
 		GMM:                gmmModel,
 		Thresholds:         dj.Thresholds,
 		ResidualThresholds: dj.ResidualThresholds,
-	}
-	d.scoring = newScoring(dj.Region.Cells(), pcaModel, gmmModel)
-	return d, nil
+		scoring:            rt,
+	}, nil
 }

@@ -69,7 +69,7 @@ func anomalyMap(rng *rand.Rand) *heatmap.HeatMap {
 	return m
 }
 
-func trainTestDetector(t *testing.T) (*Detector, *rand.Rand) {
+func trainTestDetector(t testing.TB) (*Detector, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	var train, calib []*heatmap.HeatMap

@@ -33,9 +33,8 @@ type IntervalScore struct {
 // the TraceScorer and reused, so the steady state is allocation-free.
 //
 // A TraceScorer serves one goroutine at a time. For multi-stream
-// fan-out, give each stream its own (they share the detector's
-// immutable engine), or feed sparse intervals to pipeline.Sharded via
-// SubmitSparse.
+// fan-out, give each stream its own: they share the detector's
+// immutable engine.
 type TraceScorer struct {
 	dev *memometer.Device
 	sc  *score.Scorer
@@ -50,10 +49,6 @@ func (d *Detector) NewTraceScorer(intervalMicros int64, batch int) (*TraceScorer
 	eng, err := d.ScoreEngine()
 	if err != nil {
 		return nil, fmt.Errorf("core: trace scorer: %w", err)
-	}
-	if l, _ := eng.Dim(); l != d.Region.Cells() {
-		return nil, fmt.Errorf("core: engine dimension %d, region cells %d: %w",
-			l, d.Region.Cells(), ErrConfig)
 	}
 	if batch <= 0 {
 		batch = 1024

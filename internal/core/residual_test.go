@@ -154,72 +154,3 @@ func TestResidualConfigValidation(t *testing.T) {
 		t.Errorf("bad residual quantile: %v", err)
 	}
 }
-
-func TestRecalibrateTracksShiftedBehaviour(t *testing.T) {
-	d, rng := trainResidualDetector(t)
-	orig := append([]Threshold(nil), d.Thresholds...)
-
-	// Legitimate behaviour shift: volumes grow 10%. The old thresholds
-	// now over-flag; recalibrating on the shifted normal data restores
-	// the configured false-positive rate.
-	shifted := func() *heatmap.HeatMap {
-		m := patternMap(rng, rng.Intn(3))
-		for i := range m.Counts {
-			m.Counts[i] = uint32(float64(m.Counts[i]) * 1.10)
-		}
-		return m
-	}
-	var calib []*heatmap.HeatMap
-	for i := 0; i < 200; i++ {
-		calib = append(calib, shifted())
-	}
-	preFlag := 0
-	for _, m := range calib {
-		if anom, _, err := d.Classify(m, 0.01); err != nil {
-			t.Fatal(err)
-		} else if anom {
-			preFlag++
-		}
-	}
-	if err := d.Recalibrate(calib); err != nil {
-		t.Fatal(err)
-	}
-	postFlag := 0
-	for i := 0; i < 200; i++ {
-		if anom, _, err := d.Classify(shifted(), 0.01); err != nil {
-			t.Fatal(err)
-		} else if anom {
-			postFlag++
-		}
-	}
-	if postFlag >= preFlag && preFlag > 10 {
-		t.Errorf("recalibration did not reduce over-flagging: %d -> %d", preFlag, postFlag)
-	}
-	if float64(postFlag)/200 > 0.08 {
-		t.Errorf("post-recalibration FP rate %.3f", float64(postFlag)/200)
-	}
-	// Quantiles preserved, thetas changed.
-	if len(d.Thresholds) != len(orig) {
-		t.Fatal("threshold count changed")
-	}
-	for i := range orig {
-		if d.Thresholds[i].P != orig[i].P {
-			t.Errorf("quantile %d changed", i)
-		}
-	}
-	// Residual thresholds were recalibrated too (still present).
-	if len(d.ResidualThresholds) == 0 {
-		t.Error("residual thresholds lost in recalibration")
-	}
-}
-
-func TestRecalibrateValidation(t *testing.T) {
-	d, _ := trainResidualDetector(t)
-	if err := d.Recalibrate(nil); !errors.Is(err, ErrConfig) {
-		t.Errorf("empty set: %v", err)
-	}
-	foreign, _ := heatmap.New(heatmap.Def{AddrBase: 0, Size: 1024, Gran: 256})
-	if err := d.Recalibrate([]*heatmap.HeatMap{foreign}); !errors.Is(err, ErrRegionMismatch) {
-		t.Errorf("foreign region: %v", err)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/memheatmap/mhm/internal/gmm"
+	"github.com/memheatmap/mhm/internal/heatmap"
 	"github.com/memheatmap/mhm/internal/pca"
 	"github.com/memheatmap/mhm/internal/score"
 )
@@ -12,9 +13,9 @@ import (
 // scoring is the detector's fused scoring runtime: the immutable engine
 // plus a pool of per-call scratch, held behind a single pointer so
 // Detector values stay freely copyable (benchmarks and mhmreport
-// shallow-copy detectors to instrument them independently). Train and
-// Load install it; hand-assembled Detector literals run without one on
-// the legacy allocating path.
+// shallow-copy detectors to instrument them independently). Train, Load
+// and NewDetector install it; a Detector literal has none and every
+// scoring method rejects it.
 type scoring struct {
 	eng  *score.Engine
 	pool sync.Pool // *detScratch
@@ -29,17 +30,18 @@ type detScratch struct {
 	gs   *gmm.Scratch  // staged density evaluation scratch
 }
 
-// newScoring builds the runtime for a trained model pair, or nil when
-// the engine cannot serve it (shape mismatch between the region and the
-// basis); callers fall back to the staged path in that case.
-func newScoring(cells int, p *pca.Model, g *gmm.Model) *scoring {
+// newScoring builds the runtime for a trained model pair over region.
+// It fails when the models do not fuse with each other (a mixture not
+// fitted on the basis's L' weights, a covariance that is not SPD) or
+// with the region (a basis over a different cell count).
+func newScoring(region heatmap.Def, p *pca.Model, g *gmm.Model) (*scoring, error) {
 	eng, err := score.New(p, g)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("core: models do not fuse: %w: %w", err, ErrConfig)
 	}
 	l, lp := eng.Dim()
-	if l != cells {
-		return nil
+	if l != region.Cells() {
+		return nil, fmt.Errorf("core: %d eigenmemory dims for a %d-cell region: %w", l, region.Cells(), ErrRegionMismatch)
 	}
 	rt := &scoring{eng: eng}
 	rt.pool.New = func() any {
@@ -51,18 +53,27 @@ func newScoring(cells int, p *pca.Model, g *gmm.Model) *scoring {
 			gs:   g.NewScratch(),
 		}
 	}
-	return rt
+	return rt, nil
+}
+
+// runtime returns the fused scoring runtime, or ErrConfig for a
+// Detector literal that Train, Load or NewDetector did not build.
+func (d *Detector) runtime() (*scoring, error) {
+	if d.scoring == nil {
+		return nil, fmt.Errorf("core: detector not built by Train, Load or NewDetector: %w", ErrConfig)
+	}
+	return d.scoring, nil
 }
 
 // ScoreEngine exposes the detector's fused scoring engine, from which
-// callers (the sharded pipeline, experiment fan-outs) derive per-worker
-// Scorers. Detectors assembled by hand rather than through Train or
-// Load get a freshly built engine on every call.
+// callers (the fleet registry, experiment fan-outs) derive per-worker
+// Scorers.
 func (d *Detector) ScoreEngine() (*score.Engine, error) {
-	if d.scoring != nil {
-		return d.scoring.eng, nil
+	rt, err := d.runtime()
+	if err != nil {
+		return nil, err
 	}
-	return score.New(d.PCA, d.GMM)
+	return rt.eng, nil
 }
 
 // LogDensityBatch scores a set of raw MHM vectors into dst
@@ -77,20 +88,13 @@ func (d *Detector) LogDensityBatch(dst []float64, vecs [][]float64) error {
 }
 
 // scoreVectors scores a set of raw MHM vectors into dst through the
-// batch engine (falling back to per-vector scoring without a runtime).
-// Bit-identical to LogDensityVector on each element.
+// batch engine. Bit-identical to LogDensityVector on each element.
 func (d *Detector) scoreVectors(dst []float64, vecs [][]float64) error {
-	if rt := d.scoring; rt != nil {
-		s := rt.pool.Get().(*detScratch)
-		defer rt.pool.Put(s)
-		return s.sc.ScoreBatch(dst, vecs)
+	rt, err := d.runtime()
+	if err != nil {
+		return err
 	}
-	for i, v := range vecs {
-		lp, err := d.LogDensityVector(v)
-		if err != nil {
-			return err
-		}
-		dst[i] = lp
-	}
-	return nil
+	s := rt.pool.Get().(*detScratch)
+	defer rt.pool.Put(s)
+	return s.sc.ScoreBatch(dst, vecs)
 }

@@ -14,34 +14,37 @@ import (
 
 var errMismatch = errors.New("concurrent score differs from serial score")
 
-// stagedCopy strips the scoring runtime so the copy scores through the
-// legacy staged pca.Project + gmm.LogProb path.
-func stagedCopy(d *Detector) *Detector {
-	c := *d
-	c.scoring = nil
-	return &c
+// stagedLogDensity scores v through the staged pca.Project +
+// gmm.LogProb models, the reference the fused engine reproduces.
+func stagedLogDensity(t *testing.T, d *Detector, v []float64) float64 {
+	t.Helper()
+	w, err := d.PCA.Project(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp, err := d.GMM.LogProb(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lp
 }
 
 // TestFusedMatchesStagedDetector is the detector-level acceptance bound:
-// the fused engine must reproduce the staged LogDensityVector within
-// 1e-12 on hundreds of held-out vectors (it is built to be
+// the fused engine must reproduce the staged projection and density
+// within 1e-12 on hundreds of held-out vectors (it is built to be
 // bit-identical, which is also what keeps calibrated θ_p stable).
 func TestFusedMatchesStagedDetector(t *testing.T) {
 	d, rng := trainTestDetector(t)
 	if d.scoring == nil {
 		t.Fatal("trained detector has no scoring runtime")
 	}
-	staged := stagedCopy(d)
 	for i := 0; i < 600; i++ {
 		var m = patternMap(rng, i)
 		if i%5 == 0 {
 			m = anomalyMap(rng)
 		}
 		v := m.Vector()
-		want, err := staged.LogDensityVector(v)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := stagedLogDensity(t, d, v)
 		got, err := d.LogDensityVector(v)
 		if err != nil {
 			t.Fatal(err)
@@ -138,18 +141,40 @@ func TestScoreEngineAfterTrainAndLoad(t *testing.T) {
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("loaded detector scores %v, trained %v", got, want)
 	}
+}
 
-	// A hand-assembled detector still works through the fallback.
-	bare := &Detector{Region: d.Region, PCA: d.PCA, GMM: d.GMM, Thresholds: d.Thresholds}
-	if _, err := bare.ScoreEngine(); err != nil {
-		t.Fatalf("bare ScoreEngine: %v", err)
+// TestDetectorLiteralRejected: a Detector no constructor built has no
+// fused engine, and every scoring method refuses it with ErrConfig
+// rather than scoring through a second path.
+func TestDetectorLiteralRejected(t *testing.T) {
+	d, rng := trainTestDetector(t)
+	bare := &Detector{Region: d.Region, PCA: d.PCA, GMM: d.GMM,
+		Thresholds: d.Thresholds, ResidualThresholds: []Threshold{{P: 0.01, Theta: 1}}}
+	m := patternMap(rng, 0)
+	v := m.Vector()
+	calls := map[string]func() error{
+		"ScoreEngine": func() error { _, err := bare.ScoreEngine(); return err },
+		"LogDensity":  func() error { _, err := bare.LogDensity(m); return err },
+		"LogDensityVector": func() error {
+			_, err := bare.LogDensityVector(v)
+			return err
+		},
+		"LogDensityBatch": func() error {
+			return bare.LogDensityBatch(make([]float64, 1), [][]float64{v})
+		},
+		"Classify":       func() error { _, _, err := bare.Classify(m, 0.01); return err },
+		"ClassifySeries": func() error { _, err := bare.ClassifySeries([]*heatmap.HeatMap{m}); return err },
+		"ClassifyWithResidual": func() error {
+			_, _, _, err := bare.ClassifyWithResidual(m, 0.01)
+			return err
+		},
+		"Residual":       func() error { _, err := bare.Residual(m); return err },
+		"NewTraceScorer": func() error { _, err := bare.NewTraceScorer(10_000, 0); return err },
 	}
-	got, err = bare.LogDensity(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("bare detector scores %v, trained %v", got, want)
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s on a Detector literal: %v, want ErrConfig", name, err)
+		}
 	}
 }
 
@@ -202,11 +227,11 @@ func TestConcurrentScoringConsistent(t *testing.T) {
 // TestResidualAllocationFree: the residual check shares the pooled
 // scratch with scoring, so per-interval residual monitoring stays
 // allocation-free, and the pooled path reproduces the allocating
-// fallback bit for bit.
+// pca.ReconstructionError bit for bit.
 func TestResidualAllocationFree(t *testing.T) {
 	d, rng := trainTestDetector(t)
 	m := patternMap(rng, 0)
-	want, err := stagedCopy(d).Residual(m)
+	want, err := d.PCA.ReconstructionError(m.Vector())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -389,16 +389,6 @@ func (l *Lab) Scenarios(seedBase int64, cfg MatrixConfig) (*ScenarioMatrix, erro
 	return matrix, nil
 }
 
-// Cell returns the (scenario, detector) cell.
-func (m *ScenarioMatrix) Cell(scenario, detector string) (ScenarioCell, error) {
-	for _, c := range m.Cells {
-		if c.Scenario == scenario && c.Detector == detector {
-			return c, nil
-		}
-	}
-	return ScenarioCell{}, fmt.Errorf("experiments: no cell (%s, %s): %w", scenario, detector, ErrExperiment)
-}
-
 // String renders the matrix grouped by scenario.
 func (m *ScenarioMatrix) String() string {
 	var b strings.Builder

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -39,6 +40,16 @@ func quickMatrix(t *testing.T) *ScenarioMatrix {
 	return qMatrix
 }
 
+// cellOf returns the (scenario, detector) cell of m.
+func cellOf(m *ScenarioMatrix, scenario, detector string) (ScenarioCell, error) {
+	for _, c := range m.Cells {
+		if c.Scenario == scenario && c.Detector == detector {
+			return c, nil
+		}
+	}
+	return ScenarioCell{}, fmt.Errorf("no cell (%s, %s): %w", scenario, detector, ErrExperiment)
+}
+
 func TestScenarioMatrixShape(t *testing.T) {
 	m := quickMatrix(t)
 	catalog := attack.Catalog()
@@ -53,7 +64,7 @@ func TestScenarioMatrixShape(t *testing.T) {
 	}
 	for _, e := range catalog {
 		for _, det := range m.Detectors {
-			c, err := m.Cell(e.Name, det)
+			c, err := cellOf(m, e.Name, det)
 			if err != nil {
 				t.Fatalf("missing cell (%s, %s): %v", e.Name, det, err)
 			}
@@ -71,7 +82,7 @@ func TestScenarioMatrixShape(t *testing.T) {
 			}
 		}
 	}
-	if _, err := m.Cell("no-such", "mhm"); !errors.Is(err, ErrExperiment) {
+	if _, err := cellOf(m, "no-such", "mhm"); !errors.Is(err, ErrExperiment) {
 		t.Errorf("unknown cell: %v", err)
 	}
 	if s := m.String(); len(s) == 0 {
@@ -84,7 +95,7 @@ func TestScenarioMatrixLoudAttacksDetected(t *testing.T) {
 	// The paper's loud scenario must be cleanly separable for the fused
 	// detectors even at the mini geometry.
 	for _, det := range []string{"ensemble-max", "ensemble-wsum"} {
-		c, err := m.Cell("app-addition", det)
+		c, err := cellOf(m, "app-addition", det)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,18 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
 	"github.com/memheatmap/mhm/internal/core"
 	"github.com/memheatmap/mhm/internal/heatmap"
-	"github.com/memheatmap/mhm/internal/pipeline"
 )
 
 // ScoringRow is one mode of the scoring-throughput experiment.
 type ScoringRow struct {
-	// Mode identifies the scoring path: "single", "batch64", "sharded".
+	// Mode identifies the scoring path: "single" or "batch64".
 	Mode string
 	// Intervals is the number of MHMs classified.
 	Intervals int
@@ -25,32 +23,31 @@ type ScoringRow struct {
 
 // ScoringResult compares the scoring engine's execution modes on the
 // same classification workload: the single-vector loop (the paper's
-// per-interval deployment), the blocked B=64 batch kernel (offline
-// sweeps), and the sharded multi-stream scorer (N monitored systems).
+// per-interval deployment) and the blocked B=64 batch kernel (offline
+// sweeps).
 type ScoringResult struct {
-	L, LPrime, J    int
-	Batch           int
-	Streams, Shards int
-	Rows            []ScoringRow
+	L, LPrime, J int
+	Batch        int
+	Rows         []ScoringRow
 }
 
 // String renders the comparison.
 func (r ScoringResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "A10 — scoring engine throughput (L=%d, L'=%d, J=%d)\n", r.L, r.LPrime, r.J)
+	fmt.Fprintf(&b, "A13 — scoring engine throughput (L=%d, L'=%d, J=%d)\n", r.L, r.LPrime, r.J)
 	b.WriteString("  mode       intervals  per-MHM(µs)  speedup\n")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-9s  %9d  %11.3f  %6.2fx\n",
 			row.Mode, row.Intervals, row.PerMHMMicros, row.Speedup)
 	}
-	fmt.Fprintf(&b, "  (batch B=%d; sharded %d streams over %d workers)\n", r.Batch, r.Streams, r.Shards)
+	fmt.Fprintf(&b, "  (batch B=%d)\n", r.Batch)
 	return b.String()
 }
 
 // scoringBatch is the blocked batch size reported by the experiment.
 const scoringBatch = 64
 
-// ScoringThroughput measures the three scoring modes over fresh normal
+// ScoringThroughput measures the two scoring modes over fresh normal
 // captures, repeating each mode enough to stabilize the timing. All
 // modes produce bit-identical log densities; only the schedule differs.
 func (l *Lab) ScoringThroughput(det *core.Detector, seedBase int64, repeats int) (*ScoringResult, error) {
@@ -114,35 +111,6 @@ func (l *Lab) ScoringThroughput(det *core.Detector, seedBase int64, repeats int)
 		Speedup: singleMicros / batchMicros,
 	})
 
-	// Mode 3: the sharded multi-stream scorer, one stream per worker.
-	streams := runtime.GOMAXPROCS(0)
-	if streams > 8 {
-		streams = 8
-	}
-	if streams < 2 {
-		streams = 2
-	}
-	sh, err := pipeline.NewSharded(det, streams, pipeline.ShardedConfig{
-		Quantile: l.Scale.Quantiles[len(l.Scale.Quantiles)-1],
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Streams, res.Shards = sh.Streams(), sh.Shards()
-	start = time.Now()
-	for r := 0; r < repeats; r++ {
-		for i, m := range maps {
-			if err := sh.Submit(i%streams, m); err != nil {
-				return nil, err
-			}
-		}
-	}
-	sh.Close()
-	shardMicros := microsPer(start, repeats*len(maps))
-	res.Rows = append(res.Rows, ScoringRow{
-		Mode: "sharded", Intervals: repeats * len(maps), PerMHMMicros: shardMicros,
-		Speedup: singleMicros / shardMicros,
-	})
 	return res, nil
 }
 

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestScoringThroughputShape checks the A10 experiment's structure:
-// three modes over the same interval count, single as the 1x baseline,
+// TestScoringThroughputShape checks the A13 experiment's structure:
+// two modes over the same interval count, single as the 1x baseline,
 // and a renderable table. Timing magnitudes are hardware-dependent and
 // asserted only by the committed benchmark baseline, not here.
 func TestScoringThroughputShape(t *testing.T) {
@@ -15,10 +15,10 @@ func TestScoringThroughputShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(r.Rows))
+	if len(r.Rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(r.Rows))
 	}
-	modes := []string{"single", "batch64", "sharded"}
+	modes := []string{"single", "batch64"}
 	for i, row := range r.Rows {
 		if row.Mode != modes[i] {
 			t.Errorf("row %d mode %q, want %q", i, row.Mode, modes[i])
@@ -33,11 +33,11 @@ func TestScoringThroughputShape(t *testing.T) {
 	if r.Rows[0].Speedup != 1 {
 		t.Errorf("single speedup %v, want 1", r.Rows[0].Speedup)
 	}
-	if r.Streams < 2 || r.Shards < 1 || r.Batch != 64 {
-		t.Errorf("topology streams=%d shards=%d batch=%d", r.Streams, r.Shards, r.Batch)
+	if r.Batch != 64 {
+		t.Errorf("batch=%d", r.Batch)
 	}
 	out := r.String()
-	for _, want := range []string{"A10", "single", "batch64", "sharded"} {
+	for _, want := range []string{"A13", "single", "batch64"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}

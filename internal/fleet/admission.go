@@ -1,10 +1,10 @@
-// Admission control for the fleet controller. The sharded pipeline
-// answers overload with back-pressure (Submit blocks); a fleet serving
-// 100k independent device streams cannot let one slow shard stall every
-// monitor, so the controller sheds instead — and it sheds fairly per
-// stream, not per shard: a stream that already has its share of work in
-// flight is rejected before an idle stream ever is, so a hot device
-// cannot starve the quiet ones that share its shard.
+// Admission control for the fleet controller. Back-pressure (a
+// blocking Submit) would let one slow shard stall every monitor of a
+// fleet serving 100k independent device streams, so the controller
+// sheds instead — and it sheds fairly per stream, not per shard: a
+// stream that already has its share of work in flight is rejected
+// before an idle stream ever is, so a hot device cannot starve the
+// quiet ones that share its shard.
 package fleet
 
 // Shed reasons, recorded in the decision trace and the shed counter.

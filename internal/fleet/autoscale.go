@@ -87,9 +87,6 @@ func NewAutoscaler(cfg ScaleConfig, reg *obs.Registry) (*Autoscaler, error) {
 	}, nil
 }
 
-// Config returns the filled configuration.
-func (a *Autoscaler) Config() ScaleConfig { return a.cfg }
-
 // Decide returns the target shard count given the current topology and
 // the gauge values at virtual time now, with "" or a reason string
 // explaining the change. A target equal to cur means no resize. Scale

@@ -1,14 +1,16 @@
 // Package fleet is the fleet-scale detection control plane: it serves
 // the paper's per-device memory-heat-map detection for up to 100k+
-// independent device streams. Where pipeline.Sharded proved the
-// stream→shard affinity and back-pressure mechanics for one fixed pool,
-// the fleet controller adds the cluster-shaped concerns of a serving
-// system — a per-stream model registry with copy-on-write hot swap
-// (registry.go), admission control with per-stream-fair overload
-// shedding (admission.go), consistent routing over a resizable shard
-// set (router.go), and obs-driven shard autoscaling (autoscale.go) —
-// plus the deterministic simulator (sim.go) that makes every one of
-// those decisions bit-reproducible and assertable.
+// independent device streams. The live Controller pins each stream to
+// one shard worker, so a stream's intervals are scored and recorded in
+// submission order, bit-identical to the serial pipeline.Pipeline; it
+// never blocks a submitter, shedding per-stream-fairly under overload
+// instead (admission.go). Each interval is scored under the model the
+// per-stream registry resolves for it (registry.go, copy-on-write hot
+// swap at exact interval boundaries). The deterministic simulator
+// (sim.go) drives the same decisions — admission, routing over a
+// resizable shard set (router.go), hot swaps and obs-driven
+// autoscaling (autoscale.go) — in virtual time, so every one of them is
+// bit-reproducible and assertable.
 package fleet
 
 import (
@@ -54,8 +56,6 @@ type Config struct {
 	// Metrics, when non-nil, installs the fleet metric set (see
 	// fleetMetrics; names are frozen by a golden schema test).
 	Metrics *obs.Registry
-	// Scale, when non-nil, enables PollScale-driven autoscaling.
-	Scale *ScaleConfig
 }
 
 func (c *Config) fill(streams int) error {
@@ -157,7 +157,7 @@ type item struct {
 
 // streamState is one monitored stream. Stream→shard affinity means
 // exactly one worker assigns indices and appends records; the mutex
-// only fences those writes against read-side Records/Alarms.
+// only fences those writes against read-side Records.
 type streamState struct {
 	inflight atomic.Int32
 
@@ -185,22 +185,19 @@ func (w *worker) scorerFor(eng *score.Engine) *score.Scorer {
 	return sc
 }
 
-// Controller is the live fleet control plane: a resizable pool of shard
+// Controller is the live fleet control plane: a fixed pool of shard
 // workers draining bounded FIFO queues, with per-stream admission
 // control and the copy-on-write model registry deciding which engine
 // scores each interval.
 type Controller struct {
 	cfg       Config
 	region    heatmap.Def
-	cells     int
 	reg       *Registry
 	streams   []*streamState
 	met       fleetMetrics
 	highWater int
 
-	auto *Autoscaler // nil without Config.Scale
-
-	mu      sync.RWMutex // fences Submit/readers against Resize/Close
+	mu      sync.RWMutex // fences Submit against Close
 	workers []*worker
 	chans   []chan item
 	closed  bool
@@ -219,20 +216,9 @@ func New(det *core.Detector, streams int, cfg Config) (*Controller, error) {
 	if err := cfg.fill(streams); err != nil {
 		return nil, err
 	}
-	// Autoscaling decides from the obs gauges; with no registry they read
-	// 0 and every poll looks idle. Install a private registry rather than
-	// let PollScale silently shrink the fleet to MinShards.
-	if cfg.Scale != nil && cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	base, err := NewModel(det, cfg.Quantile, 1)
 	if err != nil {
 		return nil, err
-	}
-	l, _ := base.eng.Dim()
-	if l != det.Region.Cells() {
-		return nil, fmt.Errorf("fleet: engine dimension %d, region cells %d: %w",
-			l, det.Region.Cells(), ErrConfig)
 	}
 	reg, err := NewRegistry(streams, base)
 	if err != nil {
@@ -241,7 +227,6 @@ func New(det *core.Detector, streams int, cfg Config) (*Controller, error) {
 	c := &Controller{
 		cfg:       cfg,
 		region:    det.Region,
-		cells:     l,
 		reg:       reg,
 		streams:   make([]*streamState, streams),
 		met:       newFleetMetrics(cfg.Metrics),
@@ -254,56 +239,24 @@ func New(det *core.Detector, streams int, cfg Config) (*Controller, error) {
 		}
 		c.streams[i] = &streamState{rt: rt}
 	}
-	if cfg.Scale != nil {
-		if c.auto, err = NewAutoscaler(*cfg.Scale, cfg.Metrics); err != nil {
-			return nil, err
-		}
-	}
 	c.met.streams.Set(float64(streams))
-	c.startWorkers(cfg.Shards)
-	return c, nil
-}
-
-// startWorkers builds a fresh worker pool of the given size. Callers
-// must hold the write lock (or be the constructor).
-func (c *Controller) startWorkers(shards int) {
-	c.workers = make([]*worker, shards)
-	c.chans = make([]chan item, shards)
+	c.workers = make([]*worker, cfg.Shards)
+	c.chans = make([]chan item, cfg.Shards)
 	for i := range c.workers {
 		c.workers[i] = &worker{
 			scorers: make(map[*score.Engine]*score.Scorer),
-			vbuf:    make([]float64, c.cells),
+			vbuf:    make([]float64, det.Region.Cells()),
 		}
-		c.chans[i] = make(chan item, c.cfg.QueueDepth)
+		c.chans[i] = make(chan item, cfg.QueueDepth)
 		c.wg.Add(1)
 		go c.run(i)
 	}
-	c.met.shards.Set(float64(shards))
+	c.met.shards.Set(float64(cfg.Shards))
+	return c, nil
 }
 
-// Streams and Shards report the current topology.
-func (c *Controller) Streams() int { return len(c.streams) }
-func (c *Controller) Shards() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.workers)
-}
-
-// Registry exposes the per-stream model registry for hot swaps.
-func (c *Controller) Registry() *Registry { return c.reg }
-
-// SwapAt schedules a hot model swap at an exact per-stream interval
-// boundary (see Registry.SwapAt) and counts it.
-func (c *Controller) SwapAt(stream, at int, m *Model) error {
-	if err := c.reg.SwapAt(stream, at, m); err != nil {
-		return err
-	}
-	c.met.swaps.Inc()
-	return nil
-}
-
-// Submit offers one completed MHM of a stream. Unlike the sharded
-// pipeline it never blocks: under overload the submission is shed
+// Submit offers one completed MHM of a stream. It never blocks: under
+// overload the submission is shed
 // (admitted=false) according to the per-stream fairness policy, and the
 // monitor keeps its interval cadence. The error is non-nil only for
 // invalid submissions or a closed controller.
@@ -400,69 +353,6 @@ func (c *Controller) run(shard int) {
 	}
 }
 
-// Resize re-shapes the worker pool to the given shard count. It is a
-// drain barrier: submissions pause, every queued interval completes
-// under the old topology, then workers restart with the new one — so a
-// stream's records stay in submission order across the move, and only
-// the streams whose jump-hash owner changed are re-homed. Returns how
-// many streams moved.
-func (c *Controller) Resize(shards int) (moved int, err error) {
-	if shards <= 0 {
-		return 0, fmt.Errorf("fleet: resize to %d shards: %w", shards, ErrConfig)
-	}
-	if shards > len(c.streams) {
-		shards = len(c.streams)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, ErrClosed
-	}
-	old := len(c.workers)
-	if shards == old {
-		return 0, nil
-	}
-	for _, ch := range c.chans {
-		close(ch)
-	}
-	c.wg.Wait()
-	moved = MovedStreams(len(c.streams), old, shards)
-	c.startWorkers(shards)
-	c.met.resizes.Inc()
-	return moved, nil
-}
-
-// PollScale publishes the queue-occupancy and latency gauges and, when
-// autoscaling is configured, applies the autoscaler's decision. now is
-// the caller's clock in microseconds (wall or virtual — the decision
-// only compares differences against the cooldown). It returns the new
-// shard count and how many streams moved (0 when no resize fired).
-func (c *Controller) PollScale(now int64) (shards, moved int, err error) {
-	c.mu.RLock()
-	maxFrac := 0.0
-	for _, ch := range c.chans {
-		if f := float64(len(ch)) / float64(c.cfg.QueueDepth); f > maxFrac {
-			maxFrac = f
-		}
-	}
-	cur := len(c.workers)
-	c.mu.RUnlock()
-	c.met.queueFrac.Set(maxFrac)
-	c.met.p99.Set(c.met.interval.Snapshot().Quantile(0.99))
-	if c.auto == nil {
-		return cur, 0, nil
-	}
-	target, _ := c.auto.Decide(now, cur)
-	if target == cur {
-		return cur, 0, nil
-	}
-	moved, err = c.Resize(target)
-	if err != nil {
-		return cur, 0, err
-	}
-	return target, moved, nil
-}
-
 // Records returns the analyzed intervals of one stream so far, in
 // submission order.
 func (c *Controller) Records(stream int) ([]Record, error) {
@@ -477,19 +367,8 @@ func (c *Controller) Records(stream int) ([]Record, error) {
 	return out, nil
 }
 
-// Alarms returns one stream's alarm transitions so far.
-func (c *Controller) Alarms(stream int) ([]alarm.Event, error) {
-	if stream < 0 || stream >= len(c.streams) {
-		return nil, fmt.Errorf("fleet: stream %d out of [0,%d): %w", stream, len(c.streams), ErrConfig)
-	}
-	st := c.streams[stream]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.rt.Events(), nil
-}
-
 // Close drains the queues, stops the workers, and waits for them.
-// Further Submit calls fail; Records and Alarms remain readable.
+// Further Submit calls fail; Records remain readable.
 func (c *Controller) Close() {
 	c.mu.Lock()
 	if c.closed {

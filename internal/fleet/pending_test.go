@@ -28,11 +28,11 @@ func TestRegistryRejectsStackedSwap(t *testing.T) {
 		t.Fatalf("same-boundary replace: %v", err)
 	}
 	// The original boundary fires; the rejected one never does.
-	if m := r.ModelFor(0, 4); m.Version() != 1 {
-		t.Fatalf("interval 4 under version %d", m.Version())
+	if m := r.ModelFor(0, 4); m.version != 1 {
+		t.Fatalf("interval 4 under version %d", m.version)
 	}
-	if m := r.ModelFor(0, 5); m.Version() != 2 {
-		t.Fatalf("interval 5 under version %d", m.Version())
+	if m := r.ModelFor(0, 5); m.version != 2 {
+		t.Fatalf("interval 5 under version %d", m.version)
 	}
 	// Pending slot drained: a new boundary schedules cleanly now.
 	if err := r.SwapAt(0, 9, base); err != nil {
@@ -60,24 +60,26 @@ func TestRegistrySwapAtCoalesce(t *testing.T) {
 	}
 	// The coalesced boundary fires with the newest model; the replaced
 	// schedule is gone.
-	if m := r.ModelFor(0, 4); m.Version() != 3 {
-		t.Fatalf("interval 4 under version %d, want 3", m.Version())
+	if m := r.ModelFor(0, 4); m.version != 3 {
+		t.Fatalf("interval 4 under version %d, want 3", m.version)
 	}
-	if m := r.ModelFor(0, 10); m.Version() != 3 {
-		t.Fatalf("interval 10 under version %d, want 3", m.Version())
+	if m := r.ModelFor(0, 10); m.version != 3 {
+		t.Fatalf("interval 10 under version %d, want 3", m.version)
 	}
 }
 
 // TestRegistrySwapAllAtCoalesce checks the fleet-wide latest-wins path
-// and that immediate Swap clears a pending schedule.
+// replaces strict per-stream schedules on every stream.
 func TestRegistrySwapAllAtCoalesce(t *testing.T) {
 	base, alt := testModels(t)
 	r, err := NewRegistry(3, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SwapAllAt(6, alt); err != nil {
-		t.Fatal(err)
+	for s := 0; s < 3; s++ {
+		if err := r.SwapAt(s, 6, alt); err != nil {
+			t.Fatal(err)
+		}
 	}
 	third, err := NewModel(fixtureDetector(t), 0, 3)
 	if err != nil {
@@ -87,22 +89,9 @@ func TestRegistrySwapAllAtCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		if m := r.ModelFor(s, 3); m.Version() != 3 {
-			t.Fatalf("stream %d interval 3 under version %d", s, m.Version())
+		if m := r.ModelFor(s, 3); m.version != 3 {
+			t.Fatalf("stream %d interval 3 under version %d", s, m.version)
 		}
-	}
-	// Immediate Swap clears whatever is pending.
-	if err := r.SwapAllAt(8, alt); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Swap(1, base); err != nil {
-		t.Fatal(err)
-	}
-	if m := r.ModelFor(1, 100); m.Version() != 1 {
-		t.Fatalf("post-Swap stream 1 under version %d, want 1", m.Version())
-	}
-	if m := r.ModelFor(0, 100); m.Version() != 2 {
-		t.Fatalf("stream 0 under version %d, want 2", m.Version())
 	}
 }
 

@@ -63,12 +63,6 @@ func NewModel(det *core.Detector, quantile float64, version int) (*Model, error)
 // Engine exposes the model's fused scoring engine.
 func (m *Model) Engine() *score.Engine { return m.eng }
 
-// Theta returns the calibrated decision threshold.
-func (m *Model) Theta() float64 { return m.theta }
-
-// Version returns the model's refresh generation.
-func (m *Model) Version() int { return m.version }
-
 // scheduledSwap is one pending hot swap: from interval `at` onward the
 // stream scores under m.
 type scheduledSwap struct {
@@ -107,26 +101,6 @@ func NewRegistry(streams int, base *Model) (*Registry, error) {
 		r.slots[i].cur = base
 	}
 	return r, nil
-}
-
-// Streams reports the registry's stream count.
-func (r *Registry) Streams() int { return len(r.slots) }
-
-// Swap replaces a stream's model immediately: the next interval the
-// owning worker scores uses m. The boundary is whatever interval
-// happens to be next — deterministic relative to the stream's own
-// sequence, but not coordinated with a specific index; use SwapAt for
-// a reproducible boundary.
-func (r *Registry) Swap(stream int, m *Model) error {
-	if err := r.check(stream, m); err != nil {
-		return err
-	}
-	sl := &r.slots[stream]
-	sl.mu.Lock()
-	sl.cur = m
-	sl.hasPending = false
-	sl.mu.Unlock()
-	return nil
 }
 
 // SwapAt schedules a hot swap at an exact interval boundary: intervals
@@ -168,20 +142,9 @@ func (r *Registry) swapAt(stream, at int, m *Model, coalesce bool) error {
 	return nil
 }
 
-// SwapAllAt schedules the same boundary swap for every stream — the
-// fleet-wide model refresh. Strict per-stream semantics: any stream
-// with a different boundary still pending fails the whole call with
-// ErrSwapPending (streams already scheduled keep the new swap).
-func (r *Registry) SwapAllAt(at int, m *Model) error {
-	for s := range r.slots {
-		if err := r.SwapAt(s, at, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SwapAllAtCoalesce is SwapAllAt with latest-wins per-stream semantics.
+// SwapAllAtCoalesce schedules the same boundary swap for every stream —
+// the fleet-wide model refresh — with SwapAtCoalesce's latest-wins
+// per-stream semantics.
 func (r *Registry) SwapAllAtCoalesce(at int, m *Model) error {
 	for s := range r.slots {
 		if err := r.SwapAtCoalesce(s, at, m); err != nil {
@@ -209,19 +172,6 @@ func (r *Registry) ModelFor(stream, idx int) *Model {
 	m := sl.cur
 	sl.mu.Unlock()
 	return m
-}
-
-// Current returns the stream's live model without advancing scheduled
-// swaps — the read-side view for status exporters.
-func (r *Registry) Current(stream int) (*Model, error) {
-	if stream < 0 || stream >= len(r.slots) {
-		return nil, fmt.Errorf("fleet: stream %d out of [0,%d): %w", stream, len(r.slots), ErrConfig)
-	}
-	sl := &r.slots[stream]
-	sl.mu.Lock()
-	m := sl.cur
-	sl.mu.Unlock()
-	return m, nil
 }
 
 func (r *Registry) check(stream int, m *Model) error {

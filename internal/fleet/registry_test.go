@@ -20,12 +20,12 @@ func testModels(t *testing.T) (*Model, *Model) {
 
 func TestModelAccessors(t *testing.T) {
 	base, alt := testModels(t)
-	if base.Version() != 1 || alt.Version() != 2 {
-		t.Fatalf("versions %d/%d", base.Version(), alt.Version())
+	if base.version != 1 || alt.version != 2 {
+		t.Fatalf("versions %d/%d", base.version, alt.version)
 	}
-	if base.Engine() == nil || alt.Theta() >= base.Theta() {
+	if base.Engine() == nil || alt.theta >= base.theta {
 		// θ0.5 is stricter (lower) than the default θ1.
-		t.Fatalf("theta ordering: base %v alt %v", base.Theta(), alt.Theta())
+		t.Fatalf("theta ordering: base %v alt %v", base.theta, alt.theta)
 	}
 	if _, err := NewModel(nil, 0, 1); err == nil {
 		t.Error("nil detector accepted")
@@ -47,13 +47,13 @@ func TestRegistrySwapAtBoundary(t *testing.T) {
 		if idx >= 3 {
 			want = 2
 		}
-		if m.Version() != want {
-			t.Fatalf("idx %d scored by v%d, want v%d", idx, m.Version(), want)
+		if m.version != want {
+			t.Fatalf("idx %d scored by v%d, want v%d", idx, m.version, want)
 		}
 	}
 	// Unswapped streams are untouched.
-	if m := r.ModelFor(0, 100); m.Version() != 1 {
-		t.Fatalf("stream 0 on v%d", m.Version())
+	if m := r.ModelFor(0, 100); m.version != 1 {
+		t.Fatalf("stream 0 on v%d", m.version)
 	}
 }
 
@@ -66,18 +66,18 @@ func TestRegistrySwapAtReplacesSameBoundary(t *testing.T) {
 	if err := r.SwapAt(0, 2, alt); err != nil {
 		t.Fatal(err)
 	}
-	if m := r.ModelFor(0, 2); m.Version() != 2 {
-		t.Fatalf("same-boundary reschedule ignored, got v%d", m.Version())
+	if m := r.ModelFor(0, 2); m.version != 2 {
+		t.Fatalf("same-boundary reschedule ignored, got v%d", m.version)
 	}
 }
 
 func TestRegistryPassedBoundaryAppliesNext(t *testing.T) {
 	base, alt := testModels(t)
 	r, _ := NewRegistry(1, base)
-	if m := r.ModelFor(0, 0); m.Version() != 1 {
+	if m := r.ModelFor(0, 0); m.version != 1 {
 		t.Fatal("wrong base")
 	}
-	if m := r.ModelFor(0, 1); m.Version() != 1 {
+	if m := r.ModelFor(0, 1); m.version != 1 {
 		t.Fatal("wrong base")
 	}
 	// Boundary 1 is already in the past (next idx is 2): applies to the
@@ -85,33 +85,8 @@ func TestRegistryPassedBoundaryAppliesNext(t *testing.T) {
 	if err := r.SwapAt(0, 1, alt); err != nil {
 		t.Fatal(err)
 	}
-	if m := r.ModelFor(0, 2); m.Version() != 2 {
+	if m := r.ModelFor(0, 2); m.version != 2 {
 		t.Fatal("passed boundary did not apply to the next interval")
-	}
-}
-
-func TestRegistrySwapImmediateAndCurrent(t *testing.T) {
-	base, alt := testModels(t)
-	r, _ := NewRegistry(2, base)
-	if err := r.SwapAt(0, 100, alt); err != nil {
-		t.Fatal(err)
-	}
-	// Current does not advance scheduled swaps.
-	if m, err := r.Current(0); err != nil || m.Version() != 1 {
-		t.Fatalf("current %v %v", m, err)
-	}
-	// Immediate Swap clears the pending schedule.
-	if err := r.Swap(0, alt); err != nil {
-		t.Fatal(err)
-	}
-	if m := r.ModelFor(0, 0); m.Version() != 2 {
-		t.Fatal("immediate swap not visible")
-	}
-	if err := r.SwapAllAt(5, alt); err != nil {
-		t.Fatal(err)
-	}
-	if m := r.ModelFor(1, 7); m.Version() != 2 {
-		t.Fatal("SwapAllAt missed a stream")
 	}
 }
 
@@ -124,7 +99,7 @@ func TestRegistryValidation(t *testing.T) {
 		t.Error("nil base accepted")
 	}
 	r, _ := NewRegistry(2, base)
-	if err := r.Swap(5, base); err == nil {
+	if err := r.SwapAt(5, 0, base); err == nil {
 		t.Error("out-of-range stream accepted")
 	}
 	if err := r.SwapAt(0, -1, base); err == nil {
@@ -133,7 +108,7 @@ func TestRegistryValidation(t *testing.T) {
 	if err := r.SwapAt(0, 1, nil); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := r.Current(-1); err == nil {
+	if err := r.SwapAtCoalesce(-1, 0, base); err == nil {
 		t.Error("negative stream accepted")
 	}
 }

@@ -1,5 +1,5 @@
-// Stream→shard routing for the fleet controller. The requirements are
-// the sharded pipeline's affinity contract scaled to a resizable shard
+// Stream→shard routing for the fleet controller and simulator. The
+// requirements are a stream-affinity contract over a resizable shard
 // set: every stream maps to exactly one shard (so one worker owns the
 // stream's order), the mapping is a pure function of (stream, shard
 // count) so any component can recompute it without coordination, and a

@@ -197,16 +197,16 @@ func TestSimSwapFaultAppliesAtBoundary(t *testing.T) {
 		t.Fatalf("scheduled %d swaps, want 4", res.SwapsScheduled)
 	}
 	for s := 0; s < 8; s++ {
-		m, err := sim.Registry().Current(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sl := &sim.Registry().slots[s]
+		sl.mu.Lock()
+		m := sl.cur
+		sl.mu.Unlock()
 		want := 1
 		if s < 4 {
 			want = 2 // past the boundary, the refreshed model is live
 		}
-		if m.Version() != want {
-			t.Fatalf("stream %d on model v%d, want v%d", s, m.Version(), want)
+		if m.version != want {
+			t.Fatalf("stream %d on model v%d, want v%d", s, m.version, want)
 		}
 	}
 }

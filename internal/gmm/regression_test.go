@@ -114,7 +114,12 @@ func emOnceStaged(data [][]float64, k, maxIter int, tol, reg float64, rng *rand.
 					}
 				}
 			}
-			cov.Scale(1 / nj)
+			for a, s := 0, 1/nj; a < d; a++ {
+				row := cov.Row(a)
+				for b := range row {
+					row[b] *= s
+				}
+			}
 			for a := 0; a < d; a++ {
 				cov.Set(a, a, cov.At(a, a)+reg)
 			}

@@ -1,58 +1,6 @@
 package heatmap
 
-import (
-	"bytes"
-	"testing"
-)
-
-// FuzzReadBinary hardens the deserializer against corrupt inputs: it
-// must never panic and never return a heat map violating its own
-// definition.
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid serialization and a few mutations.
-	h, err := New(Def{AddrBase: 0x1000, Size: 0x800, Gran: 0x100})
-	if err != nil {
-		f.Fatal(err)
-	}
-	h.Counts[3] = 42
-	var buf bytes.Buffer
-	if err := h.WriteBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:10])
-	f.Add([]byte{})
-	mutated := append([]byte(nil), valid...)
-	mutated[21] = 0x03 // non-power-of-two granularity
-	f.Add(mutated)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Any successfully parsed map must be self-consistent.
-		if verr := m.Def.Validate(); verr != nil {
-			t.Fatalf("parsed map has invalid definition: %v", verr)
-		}
-		if len(m.Counts) != m.Def.Cells() {
-			t.Fatalf("parsed map has %d counts for %d cells", len(m.Counts), m.Def.Cells())
-		}
-		// Round trip must be stable.
-		var out bytes.Buffer
-		if werr := m.WriteBinary(&out); werr != nil {
-			t.Fatalf("re-serialize: %v", werr)
-		}
-		m2, rerr := ReadBinary(&out)
-		if rerr != nil {
-			t.Fatalf("re-parse: %v", rerr)
-		}
-		if d, derr := m2.L1Distance(m); derr != nil || d != 0 {
-			t.Fatalf("round trip unstable: d=%d err=%v", d, derr)
-		}
-	})
-}
+import "testing"
 
 // FuzzCellIndex checks the paper's address filter + target-cell
 // calculation against its specification for arbitrary region triples

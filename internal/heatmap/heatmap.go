@@ -196,23 +196,6 @@ func (h *HeatMap) MaxCell() (idx int, count uint32) {
 	return idx, count
 }
 
-// Add accumulates o's counts into h (saturating); both maps must share a
-// definition.
-func (h *HeatMap) Add(o *HeatMap) error {
-	if h.Def != o.Def {
-		return fmt.Errorf("heatmap: Add across definitions %+v and %+v: %w", h.Def, o.Def, ErrConfig)
-	}
-	for i, c := range o.Counts {
-		cur := h.Counts[i]
-		if cur > math.MaxUint32-c {
-			h.Counts[i] = math.MaxUint32
-		} else {
-			h.Counts[i] = cur + c
-		}
-	}
-	return nil
-}
-
 // Vector returns the counts as float64, the representation the learning
 // pipeline (mean-shift, PCA projection) operates on.
 func (h *HeatMap) Vector() []float64 {

@@ -186,33 +186,6 @@ func TestResetAndClone(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	d := Def{AddrBase: 0, Size: 0x200, Gran: 0x100}
-	a, _ := New(d)
-	b, _ := New(d)
-	a.Record(0, 3)
-	b.Record(0, 4)
-	b.Record(0x100, 5)
-	if err := a.Add(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Counts[0] != 7 || a.Counts[1] != 5 {
-		t.Errorf("after Add: %v", a.Counts)
-	}
-	// Saturating add.
-	a.Counts[0] = math.MaxUint32 - 1
-	if err := a.Add(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Counts[0] != math.MaxUint32 {
-		t.Errorf("Add did not saturate: %d", a.Counts[0])
-	}
-	other, _ := New(Def{AddrBase: 0, Size: 0x100, Gran: 0x100})
-	if err := a.Add(other); !errors.Is(err, ErrConfig) {
-		t.Errorf("Add across defs: %v", err)
-	}
-}
-
 func TestVector(t *testing.T) {
 	h, _ := New(Def{AddrBase: 0, Size: 0x300, Gran: 0x100})
 	h.Record(0x100, 42)

@@ -8,7 +8,6 @@ package heatmap
 
 import (
 	"fmt"
-	"math"
 )
 
 // Sparse is the run-length form of one MHM: run r covers the
@@ -41,13 +40,6 @@ func (s *Sparse) Reset(d Def, start, end int64) {
 
 // NNZ returns the number of occupied cells.
 func (s *Sparse) NNZ() int { return len(s.Counts) }
-
-// MemBytes returns the payload size of the sparse form (runs plus
-// counts, excluding the fixed header) — the bandwidth a fleet moves
-// per interval in place of 4·Cells() dense bytes.
-func (s *Sparse) MemBytes() int {
-	return 4*len(s.RunStart) + 4*len(s.RunLen) + 4*len(s.Counts)
-}
 
 // appendRun appends one run, growing the backing arrays as needed.
 func (s *Sparse) appendRun(start int32, counts []uint32) {
@@ -111,6 +103,8 @@ func (s *Sparse) scatter(counts []uint32) {
 // Validate checks the run invariants: ascending, non-adjacent,
 // positive-length runs within the cell count, run lengths consistent
 // with the flat counts, and no zero count inside a run.
+//
+//mhmlint:ignore deadapi the oracle the Sparsify and CollectSparse tests check their run form against
 func (s *Sparse) Validate() error {
 	if err := s.Def.Validate(); err != nil {
 		return err
@@ -141,105 +135,4 @@ func (s *Sparse) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Total returns the sum of all cell counts, matching
-// (*HeatMap).Total on the dense form.
-func (s *Sparse) Total() uint64 {
-	var t uint64
-	for _, c := range s.Counts {
-		t += uint64(c)
-	}
-	return t
-}
-
-// VectorInto widens s into the dense float64 vector the learning
-// pipeline consumes: zeros everywhere except the run cells. It panics
-// on length mismatch, like (*HeatMap).VectorInto. Allocation-free.
-//
-//mhm:hotpath
-func (s *Sparse) VectorInto(dst []float64) {
-	if len(dst) != s.Def.Cells() {
-		panic("heatmap: Sparse.VectorInto: dst length differs from cell count")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	off := 0
-	for r, st := range s.RunStart {
-		n := int(s.RunLen[r])
-		seg := dst[int(st) : int(st)+n]
-		for i := range seg {
-			seg[i] = float64(s.Counts[off+i])
-		}
-		off += n
-	}
-}
-
-// Vector returns the densified counts as a fresh float64 vector.
-func (s *Sparse) Vector() []float64 {
-	out := make([]float64, s.Def.Cells())
-	s.VectorInto(out)
-	return out
-}
-
-// Clone returns a deep copy.
-func (s *Sparse) Clone() *Sparse {
-	out := &Sparse{
-		Def:      s.Def,
-		Start:    s.Start,
-		End:      s.End,
-		RunStart: append([]int32(nil), s.RunStart...),
-		RunLen:   append([]int32(nil), s.RunLen...),
-		Counts:   append([]uint32(nil), s.Counts...),
-	}
-	return out
-}
-
-// Add accumulates s's counts into the dense map h (saturating); both
-// must share a definition.
-func (s *Sparse) Add(h *HeatMap) error {
-	if s.Def != h.Def {
-		return fmt.Errorf("heatmap: sparse Add across definitions %+v and %+v: %w", s.Def, h.Def, ErrConfig)
-	}
-	off := 0
-	for r, st := range s.RunStart {
-		n := int(s.RunLen[r])
-		for i := 0; i < n; i++ {
-			idx := int(st) + i
-			cur := h.Counts[idx]
-			c := s.Counts[off+i]
-			if cur > math.MaxUint32-c {
-				h.Counts[idx] = math.MaxUint32
-			} else {
-				h.Counts[idx] = cur + c
-			}
-		}
-		off += n
-	}
-	return nil
-}
-
-// PackVectorsSparse widens a set of equally-defined sparse maps into
-// dense float64 vectors sharing one contiguous backing array — the
-// same layout PackVectors builds from dense maps, but produced
-// straight from the run-length form: one allocation for the whole
-// set and only NNZ scatter-writes per map beyond the zero fill.
-func PackVectorsSparse(maps []*Sparse) ([][]float64, error) {
-	if len(maps) == 0 {
-		return nil, fmt.Errorf("heatmap: PackVectorsSparse: empty set: %w", ErrConfig)
-	}
-	def := maps[0].Def
-	l := def.Cells()
-	backing := make([]float64, len(maps)*l)
-	out := make([][]float64, len(maps))
-	for i, m := range maps {
-		if m.Def != def {
-			return nil, fmt.Errorf("heatmap: PackVectorsSparse: map %d definition differs: %w", i, ErrConfig)
-		}
-		v := backing[i*l : (i+1)*l : (i+1)*l]
-		m.VectorInto(v)
-		out[i] = v
-	}
-	return out, nil
 }

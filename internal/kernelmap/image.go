@@ -222,17 +222,6 @@ func (img *Image) Lookup(addr uint64) (*Function, bool) {
 	return f, true
 }
 
-// FunctionByName returns the named symbol.
-func (img *Image) FunctionByName(name string) (*Function, bool) {
-	f, ok := img.byName[name]
-	return f, ok
-}
-
-// SubsystemFunctions returns the symbols of one subsystem, by address.
-func (img *Image) SubsystemFunctions(sub string) []*Function {
-	return img.bySub[sub]
-}
-
 // pick returns n deterministic representative functions from a
 // subsystem, spread across its span.
 func (img *Image) pick(sub string, n int) ([]*Function, error) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -88,12 +89,6 @@ func TestLookup(t *testing.T) {
 	if _, ok := img.Lookup(img.Base + img.Size + 100); ok {
 		t.Error("Lookup above end succeeded")
 	}
-	if _, ok := img.FunctionByName(fns[3].Name); !ok {
-		t.Error("FunctionByName failed for existing symbol")
-	}
-	if _, ok := img.FunctionByName("no_such_symbol"); ok {
-		t.Error("FunctionByName invented a symbol")
-	}
 }
 
 func TestImageDeterminism(t *testing.T) {
@@ -139,6 +134,16 @@ func TestNewImageSizedRejectsTiny(t *testing.T) {
 	}
 }
 
+// serviceNames returns the catalog's service names, sorted.
+func serviceNames(img *Image) []string {
+	out := make([]string, 0, len(img.services))
+	for name := range img.services {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestServiceCatalogComplete(t *testing.T) {
 	img := mustImage(t)
 	wanted := []string{
@@ -160,8 +165,8 @@ func TestServiceCatalogComplete(t *testing.T) {
 			t.Errorf("service %s touches no functions", name)
 		}
 	}
-	if len(img.ServiceNames()) != len(wanted) {
-		t.Errorf("catalog has %d services, want %d", len(img.ServiceNames()), len(wanted))
+	if len(img.services) != len(wanted) {
+		t.Errorf("catalog has %d services, want %d", len(img.services), len(wanted))
 	}
 	if _, err := img.Service("bogus"); !errors.Is(err, ErrUnknownService) {
 		t.Errorf("unknown service: %v", err)
@@ -196,7 +201,7 @@ func TestEmitConservation(t *testing.T) {
 func TestEmitAddressesInsideImage(t *testing.T) {
 	img := mustImage(t)
 	rng := rand.New(rand.NewSource(4))
-	for _, name := range img.ServiceNames() {
+	for _, name := range serviceNames(img) {
 		svc, err := img.Service(name)
 		if err != nil {
 			t.Fatal(err)
@@ -301,7 +306,7 @@ func TestEmitScaleProportionalProperty(t *testing.T) {
 	// rounding.
 	img := mustImage(t)
 	f := func(seedIdx uint8) bool {
-		names := img.ServiceNames()
+		names := serviceNames(img)
 		svc, err := img.Service(names[int(seedIdx)%len(names)])
 		if err != nil {
 			return false
@@ -322,22 +327,6 @@ func TestEmitScaleProportionalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSubsystemFunctions(t *testing.T) {
-	img := mustImage(t)
-	fns := img.SubsystemFunctions(SubFS)
-	if len(fns) == 0 {
-		t.Fatal("fs subsystem empty")
-	}
-	for _, f := range fns {
-		if f.Subsystem != SubFS {
-			t.Errorf("function %s in wrong subsystem %s", f.Name, f.Subsystem)
-		}
-	}
-	if got := img.SubsystemFunctions("no-such-subsystem"); len(got) != 0 {
-		t.Errorf("unknown subsystem returned %d functions", len(got))
 	}
 }
 

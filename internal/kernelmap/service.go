@@ -150,16 +150,6 @@ func (img *Image) Service(name string) (*Service, error) {
 	return s, nil
 }
 
-// ServiceNames returns the catalog's service names, sorted.
-func (img *Image) ServiceNames() []string {
-	out := make([]string, 0, len(img.services))
-	for name := range img.services {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Emit produces the fetch bursts of `scale` invocations of the service at
 // time t. scale may be fractional (a partially executed syscall segment
 // emits a proportional share). rng adds the ±5% per-burst measurement

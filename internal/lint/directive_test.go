@@ -69,8 +69,8 @@ func Inside() int {
 		{"Inside", false},
 	}
 	for _, tc := range cases {
-		if got := prog.IsDeterministic(lookupFunc(t, prog, tc.name)); got != tc.want {
-			t.Errorf("IsDeterministic(%s) = %v, want %v", tc.name, got, tc.want)
+		if got := prog.deterministic[lookupFunc(t, prog, tc.name)]; got != tc.want {
+			t.Errorf("deterministic(%s) = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

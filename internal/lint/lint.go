@@ -30,6 +30,9 @@
 //   - goleak: goroutines need a join (WaitGroup, channel, context
 //     cancel), and parallel dispatch closures must not capture loop
 //     state by reference.
+//   - deadapi: every exported func, method, type, var and const of a
+//     non-main package needs a non-test reference somewhere in the
+//     module, so removed serving paths stay removed.
 //
 // A finding is suppressed by a directive on the same line or the line
 // above:
@@ -46,6 +49,7 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Annotation directives recognised in doc comments.
@@ -94,6 +98,7 @@ func Analyzers() []*Analyzer {
 		DetOrderAnalyzer(),
 		LockOrderAnalyzer(),
 		GoLeakAnalyzer(),
+		DeadAPIAnalyzer(),
 	}
 }
 
@@ -140,6 +145,13 @@ type Program struct {
 	ignores map[string]map[int][]ignoreDirective
 	// badDirectives are malformed //mhmlint:ignore comments.
 	badDirectives []Diagnostic
+
+	// loader checked All; modulePackages reuses it to extend the set to
+	// the whole module tree, once, into module.
+	loader     *loader
+	moduleOnce sync.Once
+	module     []*Package
+	moduleErr  error
 }
 
 // allSorted returns every loaded package sorted by import path, for
@@ -159,10 +171,6 @@ func (p *Program) IsHotpath(obj types.Object) bool { return p.hotpath[obj] }
 
 // IsNilsafe reports whether obj is a type annotated //mhm:nilsafe.
 func (p *Program) IsNilsafe(obj types.Object) bool { return p.nilsafe[obj] }
-
-// IsDeterministic reports whether obj is a function annotated
-// //mhm:deterministic anywhere in the loaded module.
-func (p *Program) IsDeterministic(obj types.Object) bool { return p.deterministic[obj] }
 
 // funcDecl pairs a declaration with the package it was parsed in.
 type funcDecl struct {

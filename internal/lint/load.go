@@ -253,7 +253,8 @@ type parseJob struct {
 }
 
 // discover parses the targets and, breadth-first and in parallel, every
-// module-local package they transitively import.
+// module-local package they transitively import. Packages an earlier
+// pass already checked join as finished jobs and are not parsed again.
 func (l *loader) discover(dirs []string) map[string]*parseJob {
 	jobs := map[string]*parseJob{}
 	var mu sync.Mutex
@@ -271,6 +272,13 @@ func (l *loader) discover(dirs []string) map[string]*parseJob {
 		j := &parseJob{dir: dir, path: path, done: make(chan struct{})}
 		jobs[path] = j
 		mu.Unlock()
+		l.mu.Lock()
+		j.pkg = l.pkgs[path]
+		l.mu.Unlock()
+		if j.pkg != nil {
+			close(j.done)
+			return
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -376,6 +384,9 @@ func (l *loader) checkAll(jobs map[string]*parseJob) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, loadParallelism())
 	for _, j := range jobs {
+		if j.pkg != nil {
+			continue // checked by an earlier pass
+		}
 		wg.Add(1)
 		go func(j *parseJob) {
 			defer wg.Done()
@@ -485,6 +496,25 @@ func Load(cwd string, patterns []string) (*Program, error) {
 		std:      importer.Default(),
 		imported: map[string]*types.Package{},
 	}
+	jobs, err := l.load(dirs)
+	if err != nil {
+		return nil, err
+	}
+	all := make(map[string]*Package, len(l.pkgs))
+	for path, pkg := range l.pkgs {
+		all[path] = pkg
+	}
+	prog := &Program{Fset: l.fset, ModPath: modpath, Root: root, All: all, loader: l}
+	for _, dir := range dirs {
+		prog.Pkgs = append(prog.Pkgs, jobs[l.importPathFor(dir)].pkg)
+	}
+	prog.scanFacts()
+	return prog, nil
+}
+
+// load parses and type-checks the packages in dirs and every
+// module-local package they import, reusing any an earlier call checked.
+func (l *loader) load(dirs []string) (map[string]*parseJob, error) {
 	jobs := l.discover(dirs)
 	if err := firstError(jobs); err != nil {
 		return nil, err
@@ -496,10 +526,33 @@ func Load(cwd string, patterns []string) (*Program, error) {
 	if err := firstError(jobs); err != nil {
 		return nil, err
 	}
-	prog := &Program{Fset: l.fset, ModPath: modpath, Root: root, All: l.pkgs}
-	for _, dir := range dirs {
-		prog.Pkgs = append(prog.Pkgs, jobs[l.importPathFor(dir)].pkg)
-	}
-	prog.scanFacts()
-	return prog, nil
+	return jobs, nil
+}
+
+// modulePackages type-checks, once, every package of the module tree
+// (the ./... expansion from the root) that the targets did not pull in,
+// and returns the whole set sorted by import path. The same loader
+// checks them, so objects stay identical to the ones the targets see.
+// Only deadapi needs this: a run over a few packages must still see
+// every reference the module makes to them. Program.All is untouched,
+// so the other analyzers keep their target-plus-dependencies view.
+func (p *Program) modulePackages() ([]*Package, error) {
+	p.moduleOnce.Do(func() {
+		l := p.loader
+		dirs, err := ExpandPatterns(p.Root, p.Root, p.ModPath, []string{"./..."})
+		if err == nil {
+			_, err = l.load(dirs)
+		}
+		if err != nil {
+			p.moduleErr = err
+			return
+		}
+		l.mu.Lock()
+		for _, pkg := range l.pkgs {
+			p.module = append(p.module, pkg)
+		}
+		l.mu.Unlock()
+		sort.Slice(p.module, func(i, j int) bool { return p.module[i].Path < p.module[j].Path })
+	})
+	return p.module, p.moduleErr
 }

@@ -1,9 +1,9 @@
 // The lockorder analyzer builds a module-wide mutex-acquisition graph
-// and keeps it a partial order. The sharded pipeline holds its
-// registry lock while touching per-stream locks; one function acquiring
-// A then B while another acquires B then A is a deadlock waiting for
-// the right interleaving — exactly the failure mode -race tests only
-// catch when they happen to hit it.
+// and keeps it a partial order. The fleet controller, its registry and
+// its streams each guard state with their own mutexes; one function
+// acquiring A then B while another acquires B then A is a deadlock
+// waiting for the right interleaving — exactly the failure mode -race
+// tests only catch when they happen to hit it.
 //
 // Mechanics: every sync.Mutex/sync.RWMutex acquisition site is resolved
 // to a lock identity (the struct field or variable holding the mutex).

@@ -70,9 +70,17 @@ func collectWants(t *testing.T, dir string) []*wantExpect {
 // diagnostics and the want comments match one-to-one.
 func checkFixture(t *testing.T, dir string, names ...string) {
 	t.Helper()
-	prog, err := Load(".", []string{"./" + filepath.ToSlash(dir)})
+	checkFixtureAt(t, ".", "./"+filepath.ToSlash(dir), dir, names...)
+}
+
+// checkFixtureAt loads pattern from cwd, runs the named analyzers, and
+// matches the diagnostics one-to-one against the want comments in
+// wantDir; a diagnostic anywhere else is unexpected.
+func checkFixtureAt(t *testing.T, cwd, pattern, wantDir string, names ...string) {
+	t.Helper()
+	prog, err := Load(cwd, []string{pattern})
 	if err != nil {
-		t.Fatalf("load %s: %v", dir, err)
+		t.Fatalf("load %s from %s: %v", pattern, cwd, err)
 	}
 	var selected []*Analyzer
 	for _, a := range Analyzers() {
@@ -86,14 +94,19 @@ func checkFixture(t *testing.T, dir string, names ...string) {
 		t.Fatalf("unknown analyzer in %v", names)
 	}
 	diags := RunAnalyzers(prog, selected)
-	wants := collectWants(t, dir)
+	wants := collectWants(t, wantDir)
 
 	var unmatched []string
+	absDir, err := filepath.Abs(wantDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range diags {
 		base := filepath.Base(d.Pos.Filename)
 		found := false
 		for _, w := range wants {
-			if !w.hit && w.file == base && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+			if !w.hit && filepath.Dir(d.Pos.Filename) == absDir && w.file == base &&
+				w.line == d.Pos.Line && w.re.MatchString(d.Message) {
 				w.hit = true
 				found = true
 				break
@@ -146,6 +159,25 @@ func TestLockOrderFixture(t *testing.T) {
 
 func TestGoLeakFixture(t *testing.T) {
 	checkFixture(t, "testdata/src/goleak/gl", "goleak")
+}
+
+// TestDeadAPIFixture runs deadapi over its fixture module — a module
+// of its own, since packages under testdata are not judged — once over
+// the lib package alone and once over the whole module. Both runs must
+// produce exactly lib's want comments: an uncalled export and one only
+// a test calls are reported; interface-satisfying methods, a use from
+// another GOARCH's file and a directive-suppressed export are not; and
+// the subset run reports nothing the full run does not.
+func TestDeadAPIFixture(t *testing.T) {
+	const mod = "testdata/src/deadapi"
+	for _, tc := range []struct{ name, pattern string }{
+		{"subset", "./lib"},
+		{"module", "./..."},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkFixtureAt(t, mod, tc.pattern, filepath.Join(mod, "lib"), "deadapi")
+		})
+	}
 }
 
 // TestCleanFixture is the negative case: a package that plays by every

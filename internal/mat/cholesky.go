@@ -45,9 +45,6 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	return &Cholesky{n: n, l: l}, nil
 }
 
-// Size returns the dimension of the factored matrix.
-func (c *Cholesky) Size() int { return c.n }
-
 // L returns a copy of the lower-triangular factor.
 func (c *Cholesky) L() *Matrix { return c.l.Clone() }
 
@@ -58,39 +55,6 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.l.At(i, i))
 	}
 	return 2 * s
-}
-
-// SolveVec solves A x = b for x.
-func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
-	if len(b) != c.n {
-		return nil, fmt.Errorf("mat: Cholesky.SolveVec: len %d, want %d: %w", len(b), c.n, ErrShape)
-	}
-	// Forward substitution: L y = b.
-	y := make([]float64, c.n)
-	for i := 0; i < c.n; i++ {
-		s := b[i]
-		li := c.l.Row(i)
-		for k := 0; k < i; k++ {
-			s -= li[k] * y[k]
-		}
-		y[i] = s / li[i]
-	}
-	// Back substitution: Lᵀ x = y.
-	x := make([]float64, c.n)
-	for i := c.n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < c.n; k++ {
-			s -= c.l.At(k, i) * x[k]
-		}
-		x[i] = s / c.l.At(i, i)
-	}
-	return x, nil
-}
-
-// MahalanobisSq returns dᵀ A⁻¹ d computed stably through the factor:
-// solve L y = d, then the result is yᵀy.
-func (c *Cholesky) MahalanobisSq(d []float64) (float64, error) {
-	return c.MahalanobisSqScratch(d, make([]float64, c.n))
 }
 
 // MahalanobisSqScratch is MahalanobisSq with caller-owned scratch: the
@@ -116,24 +80,4 @@ func (c *Cholesky) MahalanobisSqScratch(d, y []float64) (float64, error) {
 		out += v * v
 	}
 	return out, nil
-}
-
-// Inverse returns A⁻¹ as a dense matrix.
-func (c *Cholesky) Inverse() (*Matrix, error) {
-	inv := New(c.n, c.n)
-	e := make([]float64, c.n)
-	for j := 0; j < c.n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := c.SolveVec(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < c.n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

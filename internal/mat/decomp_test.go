@@ -21,48 +21,10 @@ func TestCholeskyReconstruct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diff, _ := Sub(llt, a)
+		diff := sub(llt, a)
 		if diff.MaxAbs() > 1e-8*(1+a.MaxAbs()) {
 			t.Errorf("n=%d: ||LLᵀ-A|| = %g", n, diff.MaxAbs())
 		}
-		if ch.Size() != n {
-			t.Errorf("Size = %d, want %d", ch.Size(), n)
-		}
-	}
-}
-
-func TestCholeskySolveAndInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := randSPD(rng, 6)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	b, _ := a.MulVec(x)
-	got, err := ch.SolveVec(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if !almostEq(got[i], x[i], 1e-8) {
-			t.Errorf("solve[%d] = %g, want %g", i, got[i], x[i])
-		}
-	}
-	inv, err := ch.Inverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, _ := Mul(a, inv)
-	diff, _ := Sub(prod, Identity(6))
-	if diff.MaxAbs() > 1e-8 {
-		t.Errorf("A*A⁻¹ deviates from I by %g", diff.MaxAbs())
-	}
-	if _, err := ch.SolveVec([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("short solve: %v", err)
 	}
 }
 
@@ -85,36 +47,6 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 	}
 	if _, err := NewCholesky(New(2, 3)); !errors.Is(err, ErrShape) {
 		t.Errorf("non-square: err = %v, want ErrShape", err)
-	}
-}
-
-func TestCholeskyMahalanobis(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := randSPD(rng, 5)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := make([]float64, 5)
-	for i := range d {
-		d[i] = rng.NormFloat64()
-	}
-	got, err := ch.MahalanobisSq(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: dᵀ A⁻¹ d via explicit inverse.
-	inv, _ := ch.Inverse()
-	invd, _ := inv.MulVec(d)
-	want := Dot(d, invd)
-	if !almostEq(got, want, 1e-8*(1+math.Abs(want))) {
-		t.Errorf("MahalanobisSq = %g, want %g", got, want)
-	}
-	if got < 0 {
-		t.Error("MahalanobisSq negative")
-	}
-	if _, err := ch.MahalanobisSq([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("short input: %v", err)
 	}
 }
 
@@ -158,12 +90,12 @@ func TestEigenSymProperties(t *testing.T) {
 		}
 		// Orthonormal columns.
 		vtv, _ := Mul(es.Vectors.T(), es.Vectors)
-		diff, _ := Sub(vtv, Identity(n))
+		diff := sub(vtv, Identity(n))
 		if diff.MaxAbs() > 1e-9 {
 			t.Errorf("n=%d: VᵀV deviates from I by %g", n, diff.MaxAbs())
 		}
 		// Trace preservation: sum of eigenvalues == trace(A).
-		tr, _ := a.Trace()
+		tr := trace(a)
 		sum := 0.0
 		for _, v := range es.Values {
 			sum += v
@@ -201,7 +133,7 @@ func TestEigenSymQuickProperty(t *testing.T) {
 		}
 		vd, _ := Mul(es.Vectors, d)
 		rec, _ := Mul(vd, es.Vectors.T())
-		diff, _ := Sub(rec, a)
+		diff := sub(rec, a)
 		return diff.MaxAbs() <= 1e-7*(1+a.MaxAbs())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -243,7 +175,7 @@ func TestEigenSymTopKGramOp(t *testing.T) {
 	}
 	// Dense covariance (1/cols) Φ Φᵀ for reference.
 	cov, _ := Mul(phi, phi.T())
-	cov.Scale(1 / float64(cols))
+	scale(cov, 1/float64(cols))
 
 	full, err := EigenSym(cov)
 	if err != nil {
@@ -302,108 +234,6 @@ func TestEigenSymTopKLowRank(t *testing.T) {
 	}
 }
 
-func TestQRProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, dims := range [][2]int{{3, 3}, {5, 3}, {10, 4}, {8, 8}} {
-		m, n := dims[0], dims[1]
-		a := New(m, n)
-		for i := range a.data {
-			a.data[i] = rng.NormFloat64()
-		}
-		qr, err := NewQR(a)
-		if err != nil {
-			t.Fatalf("%dx%d: %v", m, n, err)
-		}
-		// QR == A.
-		rec, _ := Mul(qr.Q, qr.R)
-		diff, _ := Sub(rec, a)
-		if diff.MaxAbs() > 1e-9*(1+a.MaxAbs()) {
-			t.Errorf("%dx%d: ||QR-A|| = %g", m, n, diff.MaxAbs())
-		}
-		// QᵀQ == I.
-		qtq, _ := Mul(qr.Q.T(), qr.Q)
-		dI, _ := Sub(qtq, Identity(n))
-		if dI.MaxAbs() > 1e-9 {
-			t.Errorf("%dx%d: QᵀQ off identity by %g", m, n, dI.MaxAbs())
-		}
-		// R upper triangular.
-		for i := 1; i < n; i++ {
-			for j := 0; j < i; j++ {
-				if qr.R.At(i, j) != 0 {
-					t.Errorf("%dx%d: R[%d][%d] = %g, want 0", m, n, i, j, qr.R.At(i, j))
-				}
-			}
-		}
-	}
-	if _, err := NewQR(New(2, 3)); !errors.Is(err, ErrShape) {
-		t.Errorf("wide QR: %v", err)
-	}
-}
-
-func TestQRSolveLeastSquares(t *testing.T) {
-	// Overdetermined consistent system recovers the exact solution.
-	rng := rand.New(rand.NewSource(42))
-	a := New(10, 3)
-	for i := range a.data {
-		a.data[i] = rng.NormFloat64()
-	}
-	x := []float64{1.5, -2, 0.25}
-	b, _ := a.MulVec(x)
-	qr, err := NewQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := qr.SolveVec(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if !almostEq(got[i], x[i], 1e-9) {
-			t.Errorf("x[%d] = %g, want %g", i, got[i], x[i])
-		}
-	}
-	if _, err := qr.SolveVec([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("short b: %v", err)
-	}
-}
-
-func TestSVDReconstruct(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for _, dims := range [][2]int{{4, 4}, {6, 3}, {3, 6}} {
-		m, n := dims[0], dims[1]
-		a := New(m, n)
-		for i := range a.data {
-			a.data[i] = rng.NormFloat64()
-		}
-		sv, err := NewSVD(a)
-		if err != nil {
-			t.Fatalf("%dx%d: %v", m, n, err)
-		}
-		r := len(sv.S)
-		// Singular values nonnegative and decreasing.
-		for i := 0; i < r; i++ {
-			if sv.S[i] < 0 {
-				t.Errorf("negative singular value %g", sv.S[i])
-			}
-			if i > 0 && sv.S[i] > sv.S[i-1]+1e-10 {
-				t.Errorf("singular values not decreasing at %d", i)
-			}
-		}
-		// Reconstruct U diag(S) Vᵀ.
-		us := sv.U.Clone()
-		for i := 0; i < us.Rows(); i++ {
-			for j := 0; j < us.Cols(); j++ {
-				us.Set(i, j, us.At(i, j)*sv.S[j])
-			}
-		}
-		rec, _ := Mul(us, sv.V.T())
-		diff, _ := Sub(rec, a)
-		if diff.MaxAbs() > 1e-7*(1+a.MaxAbs()) {
-			t.Errorf("%dx%d: ||USVᵀ-A|| = %g", m, n, diff.MaxAbs())
-		}
-	}
-}
-
 func TestGramOpMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	phi := New(12, 7)
@@ -411,7 +241,7 @@ func TestGramOpMatchesDense(t *testing.T) {
 		phi.data[i] = rng.NormFloat64()
 	}
 	cov, _ := Mul(phi, phi.T())
-	cov.Scale(1.0 / 7)
+	scale(cov, 1.0/7)
 	g := NewGramOp(phi)
 	if g.Dim() != 12 {
 		t.Fatalf("Dim = %d", g.Dim())

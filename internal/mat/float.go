@@ -8,11 +8,6 @@ package mat
 
 import "math"
 
-// DefaultTol is the relative tolerance used by Eq: floats that agree to
-// about nine significant digits are considered equal, far tighter than
-// the training tolerances (1e-6) the detector runs with.
-const DefaultTol = 1e-9
-
 // IsZero reports whether x is exactly zero (either sign). Use it where
 // zero is a sentinel or an exact algebraic case — unset options,
 // skip-zero-weight loops — not where accumulated round-off is possible.
@@ -36,11 +31,4 @@ func EqTol(a, b, tol float64) bool {
 		return true // handles equal infinities and exact hits
 	}
 	return math.Abs(a-b) <= tol
-}
-
-// Eq reports whether a and b agree within DefaultTol scaled by their
-// magnitude: |a-b| <= DefaultTol * max(1, |a|, |b|).
-func Eq(a, b float64) bool {
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return EqTol(a, b, DefaultTol*scale)
 }

@@ -35,15 +35,3 @@ func TestEqTol(t *testing.T) {
 		}
 	}
 }
-
-func TestEq(t *testing.T) {
-	if !Eq(1e12, 1e12+1) {
-		t.Error("Eq must scale its tolerance with magnitude")
-	}
-	if Eq(1, 1.001) {
-		t.Error("Eq(1, 1.001) should be false")
-	}
-	if !Eq(0, 1e-12) {
-		t.Error("Eq near zero should use the absolute floor")
-	}
-}

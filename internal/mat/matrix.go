@@ -84,28 +84,15 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 //mhm:hotpath
 func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
-// RowCopy returns a copy of row i.
-func (m *Matrix) RowCopy(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.Row(i))
-	return out
-}
-
 // ColCopy returns a copy of column j.
+//
+//mhmlint:ignore deadapi the eigenvector and warm-start tests compare fitted columns through it
 func (m *Matrix) ColCopy(j int) []float64 {
 	out := make([]float64, m.rows)
 	for i := 0; i < m.rows; i++ {
 		out[i] = m.data[i*m.cols+j]
 	}
 	return out
-}
-
-// SetRow copies v into row i.
-func (m *Matrix) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow: len %d, want %d", len(v), m.cols))
-	}
-	copy(m.Row(i), v)
 }
 
 // Clone returns a deep copy of m.
@@ -128,6 +115,8 @@ func (m *Matrix) T() *Matrix {
 }
 
 // Mul returns a*b.
+//
+//mhmlint:ignore deadapi the reference product the Cholesky, eigen and PCA tests check LLᵀ = A and UᵀU = I with
 func Mul(a, b *Matrix) (*Matrix, error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("mat: Mul: %dx%d by %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
@@ -150,6 +139,8 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 }
 
 // MulVec returns a*x as a new vector.
+//
+//mhmlint:ignore deadapi the reference product the eigen and Gram-operator tests check Av = λv and Apply with
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	out := make([]float64, m.rows)
 	if err := m.MulVecInto(out, x); err != nil {
@@ -170,56 +161,6 @@ func (m *Matrix) MulVecInto(dst, x []float64) error {
 	}
 	mulRowsBlock(m, [][]float64{dst}, [][]float64{x})
 	return nil
-}
-
-// TMulVec returns aᵀ*x without materializing the transpose.
-func (m *Matrix) TMulVec(x []float64) ([]float64, error) {
-	if len(x) != m.rows {
-		return nil, fmt.Errorf("mat: TMulVec: vector len %d, matrix %dx%d: %w", len(x), m.rows, m.cols, ErrShape)
-	}
-	out := make([]float64, m.cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		ri := m.Row(i)
-		for j, v := range ri {
-			out[j] += xi * v
-		}
-	}
-	return out, nil
-}
-
-// Add returns a+b.
-func Add(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("mat: Add: %dx%d and %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out, nil
-}
-
-// Sub returns a-b.
-func Sub(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("mat: Sub: %dx%d and %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
-	}
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
-	}
-	return out, nil
-}
-
-// Scale multiplies every element of m by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.
@@ -246,27 +187,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// FrobeniusNorm returns sqrt(sum of squared elements).
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func (m *Matrix) Trace() (float64, error) {
-	if m.rows != m.cols {
-		return 0, fmt.Errorf("mat: Trace of %dx%d: %w", m.rows, m.cols, ErrShape)
-	}
-	t := 0.0
-	for i := 0; i < m.rows; i++ {
-		t += m.At(i, i)
-	}
-	return t, nil
 }
 
 // String renders the matrix for debugging; large matrices are summarized.

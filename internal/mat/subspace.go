@@ -40,19 +40,6 @@ type Restricter interface {
 	Restrict() (support []int, sub SymOp)
 }
 
-// DenseOp adapts a symmetric *Matrix to the SymOp interface.
-type DenseOp struct{ M *Matrix }
-
-// Dim returns the matrix dimension.
-func (d DenseOp) Dim() int { return d.M.Rows() }
-
-// Apply computes dst[v] = M*src[v], reading each row of M once per
-// block.
-//
-//mhm:deterministic
-//mhm:hotpath
-func (d DenseOp) Apply(dst, src [][]float64) { mulRowsBlock(d.M, dst, src) }
-
 // mulRowsBlock sets dst[v][i] = Dot(m.Row(i), src[v]) for every row i of
 // m and every block vector v. Rows are taken four at a time and each
 // group is dotted against every block vector with Dot4 before the next
@@ -255,7 +242,7 @@ type TopKOptions struct {
 	Oversample int
 	// Parallel splits the block into a few contiguous ranges and applies
 	// the operator to each on its own goroutine; the operator's Apply
-	// must be concurrency-safe (DenseOp and GramOp are). Results are
+	// must be concurrency-safe (GramOp is). Results are
 	// identical to the serial run.
 	Parallel bool
 	// Init warm-starts the iteration: its columns (an n×m matrix, m ≤

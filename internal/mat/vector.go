@@ -41,39 +41,6 @@ func Norm2(v []float64) float64 {
 	return max * math.Sqrt(s)
 }
 
-// AddVec returns a+b as a new vector.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: AddVec: lengths %d and %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// SubVec returns a-b as a new vector.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: SubVec: lengths %d and %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// ScaleVec returns s*v as a new vector.
-func ScaleVec(s float64, v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = s * x
-	}
-	return out
-}
-
 // Axpy adds s*x to y in place (y += s*x).
 //
 //mhm:hotpath

@@ -169,14 +169,6 @@ func (d *Device) Configure(cfg Config) error {
 	return nil
 }
 
-// Config returns the programmed registers.
-func (d *Device) Config() (Config, error) {
-	if !d.configured {
-		return Config{}, ErrNotConfigured
-	}
-	return d.cfg, nil
-}
-
 // Stats returns a copy of the activity counters.
 func (d *Device) Stats() Stats { return d.stats }
 
@@ -235,6 +227,7 @@ func (d *Device) Tick(t int64) error {
 // Snoop observes a single fetch at addr at time t.
 //
 //mhm:hotpath
+//mhmlint:ignore deadapi the per-event reference TestSnoopBatchEquivalentToPerEvent checks SnoopBatch against
 func (d *Device) Snoop(t int64, addr uint64) error {
 	return d.SnoopBurst(t, addr, 1)
 }
@@ -345,35 +338,4 @@ func (d *Device) CollectSparse(dst *heatmap.Sparse) error {
 	d.pending = nil
 	d.met.pending.Set(0)
 	return nil
-}
-
-// Run pumps a time-ordered access stream through the device, invoking
-// collect for every completed MHM. It is the software equivalent of the
-// secure core polling at interval boundaries.
-func (d *Device) Run(events func(yield func(t int64, addr uint64, count uint32) error) error, collect func(*heatmap.HeatMap) error) error {
-	if !d.configured {
-		return ErrNotConfigured
-	}
-	drain := func() error {
-		for d.HasPending() {
-			m, err := d.Collect()
-			if err != nil {
-				return err
-			}
-			if err := collect(m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := events(func(t int64, addr uint64, count uint32) error {
-		if err := d.SnoopBurst(t, addr, count); err != nil {
-			return err
-		}
-		return drain()
-	})
-	if err != nil {
-		return err
-	}
-	return drain()
 }

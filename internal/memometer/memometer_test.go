@@ -75,12 +75,6 @@ func TestUnconfiguredDevice(t *testing.T) {
 	if _, err := d.Collect(); !errors.Is(err, ErrNotConfigured) {
 		t.Errorf("Collect: %v", err)
 	}
-	if _, err := d.Config(); !errors.Is(err, ErrNotConfigured) {
-		t.Errorf("Config: %v", err)
-	}
-	if err := d.Run(nil, nil); !errors.Is(err, ErrNotConfigured) {
-		t.Errorf("Run: %v", err)
-	}
 }
 
 func TestSnoopFiltersAddresses(t *testing.T) {
@@ -250,60 +244,6 @@ func TestReconfigureResetsState(t *testing.T) {
 	}
 	if err := d.Tick(10); err != nil {
 		t.Errorf("clock not reset: %v", err)
-	}
-}
-
-func TestRunPumpsAllIntervals(t *testing.T) {
-	d := mustDevice(t)
-	var collected []int64
-	var totals []uint64
-	err := d.Run(
-		func(yield func(t int64, addr uint64, count uint32) error) error {
-			for i := int64(0); i < 5; i++ {
-				// One burst per interval, sized i+1.
-				if err := yield(i*1000+500, 0x1000, uint32(i+1)); err != nil {
-					return err
-				}
-			}
-			// Push time past the final boundary.
-			return yield(5001, 0x0, 0)
-		},
-		func(m *heatmap.HeatMap) error {
-			collected = append(collected, m.Start)
-			totals = append(totals, m.Total())
-			return nil
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(collected) != 5 {
-		t.Fatalf("collected %d MHMs, want 5", len(collected))
-	}
-	for i, start := range collected {
-		if start != int64(i)*1000 {
-			t.Errorf("MHM %d start = %d", i, start)
-		}
-		if totals[i] != uint64(i+1) {
-			t.Errorf("MHM %d total = %d, want %d", i, totals[i], i+1)
-		}
-	}
-	if d.Stats().Overruns != 0 {
-		t.Errorf("overruns in pumped run: %d", d.Stats().Overruns)
-	}
-}
-
-func TestRunPropagatesCollectError(t *testing.T) {
-	d := mustDevice(t)
-	sentinel := errors.New("stop")
-	err := d.Run(
-		func(yield func(t int64, addr uint64, count uint32) error) error {
-			return yield(1500, 0x1000, 1)
-		},
-		func(m *heatmap.HeatMap) error { return sentinel },
-	)
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want sentinel", err)
 	}
 }
 

@@ -97,6 +97,8 @@ func (s *SMP) drain() error {
 }
 
 // Device returns the shared Memometer (for stats and Collect).
+//
+//mhmlint:ignore deadapi the SMP session tests read the merged device's overrun and snoop counters through it
 func (s *SMP) Device() *Device { return s.dev }
 
 // Port returns snoop port i.
@@ -126,20 +128,6 @@ func (p *Port) SnoopBurst(t int64, addr uint64, count uint32) error {
 		port: p.index,
 	})
 	return s.pump()
-}
-
-// Tick advances the port's clock without an event so idle cores do not
-// stall the merge.
-func (p *Port) Tick(t int64) error {
-	if p.closed {
-		return fmt.Errorf("memometer: port %d is closed: %w", p.index, ErrPort)
-	}
-	if t < p.last {
-		return fmt.Errorf("memometer: port %d time went backwards (%d < %d): %w",
-			p.index, t, p.last, ErrConfig)
-	}
-	p.last = t
-	return p.owner.pump()
 }
 
 // Close marks the port as finished; remaining merges ignore it.

@@ -80,8 +80,8 @@ func TestMergePreservesGlobalTimeOrder(t *testing.T) {
 	if second.Total() != 16+32 {
 		t.Errorf("second interval total = %d, want 48", second.Total())
 	}
-	if s.Device().Stats().Overruns != 0 {
-		t.Errorf("overruns: %d", s.Device().Stats().Overruns)
+	if s.dev.Stats().Overruns != 0 {
+		t.Errorf("overruns: %d", s.dev.Stats().Overruns)
 	}
 }
 
@@ -97,14 +97,15 @@ func TestLaggingPortStallsRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Port 1 has not advanced past 0: nothing may be delivered yet.
-	if got := s.Device().Stats().Snooped; got != 0 {
+	if got := s.dev.Stats().Snooped; got != 0 {
 		t.Errorf("delivered %d events before watermark", got)
 	}
-	// Port 1 ticks forward: the buffered event releases.
-	if err := p1.Tick(600); err != nil {
+	// Port 1 moves forward with an out-of-region fetch: the buffered
+	// event releases.
+	if err := p1.SnoopBurst(600, 0x0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Device().Stats().Snooped; got != 1 {
+	if got := s.dev.Stats().Snooped; got != 1 {
 		t.Errorf("delivered %d events after watermark, want 1", got)
 	}
 	_ = delivered
@@ -123,15 +124,12 @@ func TestClosedPortDoesNotStall(t *testing.T) {
 	if err := p0.SnoopBurst(100, 0x1000, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Device().Stats().Snooped; got != 1 {
+	if got := s.dev.Stats().Snooped; got != 1 {
 		t.Errorf("closed port stalled delivery: %d", got)
 	}
 	// Closed port rejects traffic.
 	if err := p1.SnoopBurst(200, 0x1000, 1); !errors.Is(err, ErrPort) {
 		t.Errorf("closed port accepted snoop: %v", err)
-	}
-	if err := p1.Tick(200); !errors.Is(err, ErrPort) {
-		t.Errorf("closed port accepted tick: %v", err)
 	}
 	// Double close is idempotent.
 	if err := p1.Close(); err != nil {
@@ -150,9 +148,6 @@ func TestPortTimeMonotonicity(t *testing.T) {
 	}
 	if err := p.SnoopBurst(400, 0x1000, 1); !errors.Is(err, ErrConfig) {
 		t.Errorf("backwards snoop: %v", err)
-	}
-	if err := p.Tick(100); !errors.Is(err, ErrConfig) {
-		t.Errorf("backwards tick: %v", err)
 	}
 }
 

@@ -181,22 +181,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values (0 for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
 // Start begins timing a stage against this histogram. On a nil
 // histogram the returned stopwatch is inert and Start does not even
 // read the clock, so uninstrumented callers pay one predicate.
@@ -205,13 +189,6 @@ func (h *Histogram) Start() Stopwatch {
 		return Stopwatch{}
 	}
 	return Stopwatch{h: h, start: time.Now()}
-}
-
-// Time runs f and records its duration in microseconds.
-func (h *Histogram) Time(f func()) {
-	sw := h.Start()
-	f()
-	sw.Stop()
 }
 
 // Stopwatch scopes one latency measurement; obtain it from

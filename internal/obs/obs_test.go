@@ -31,13 +31,13 @@ func TestHistogramObserve(t *testing.T) {
 	for _, v := range []float64{1, 5, 50, 500, 5000} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Sum() != 5556 {
-		t.Errorf("sum = %g", h.Sum())
-	}
 	hs := r.Snapshot().Histograms["h"]
+	if hs.Count != 5 {
+		t.Errorf("count = %d", hs.Count)
+	}
+	if hs.Sum != 5556 {
+		t.Errorf("sum = %g", hs.Sum)
+	}
 	wantBuckets := []uint64{2, 1, 1}
 	for i, w := range wantBuckets {
 		if hs.Buckets[i].Count != w {
@@ -50,7 +50,7 @@ func TestHistogramObserve(t *testing.T) {
 	if hs.Min != 1 || hs.Max != 5000 {
 		t.Errorf("min/max = %g/%g", hs.Min, hs.Max)
 	}
-	if m := hs.Mean(); math.Abs(m-5556.0/5) > 1e-9 {
+	if m := hs.Sum / float64(hs.Count); math.Abs(m-5556.0/5) > 1e-9 {
 		t.Errorf("mean = %g", m)
 	}
 	// Quantiles are bucket-interpolated estimates: monotone and bounded.
@@ -95,12 +95,11 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	h.Time(func() {})
 	sw := h.Start()
 	if sw.Stop() != 0 {
 		t.Error("nil stopwatch measured time")
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil metrics accumulated state")
 	}
 	s := r.Snapshot()
@@ -117,12 +116,8 @@ func TestStopwatchRecords(t *testing.T) {
 	if micros < 0 {
 		t.Errorf("negative elapsed %g", micros)
 	}
-	if h.Count() != 1 {
-		t.Errorf("stopwatch did not record: count=%d", h.Count())
-	}
-	h.Time(func() {})
-	if h.Count() != 2 {
-		t.Errorf("Time did not record: count=%d", h.Count())
+	if h.count.Load() != 1 {
+		t.Errorf("stopwatch did not record: count=%d", h.count.Load())
 	}
 }
 
@@ -131,25 +126,25 @@ func TestStopwatchHandoff(t *testing.T) {
 	a := r.Histogram("stage.a", nil)
 	b := r.Histogram("stage.b", nil)
 	sw := a.Start().Handoff(b)
-	if a.Count() != 1 {
-		t.Errorf("Handoff did not record the first stage: count=%d", a.Count())
+	if a.count.Load() != 1 {
+		t.Errorf("Handoff did not record the first stage: count=%d", a.count.Load())
 	}
 	if micros := sw.Stop(); micros < 0 {
 		t.Errorf("negative elapsed %g", micros)
 	}
-	if b.Count() != 1 {
-		t.Errorf("handed-off stopwatch did not record: count=%d", b.Count())
+	if b.count.Load() != 1 {
+		t.Errorf("handed-off stopwatch did not record: count=%d", b.count.Load())
 	}
 	// Nil combinations: record what is non-nil, never panic.
 	var nilH *Histogram
-	if sw := nilH.Start().Handoff(b); sw.Stop() < 0 || b.Count() != 2 {
+	if sw := nilH.Start().Handoff(b); sw.Stop() < 0 || b.count.Load() != 2 {
 		t.Error("nil→live handoff did not record the live stage")
 	}
 	if a.Start().Handoff(nil).Stop() != 0 {
 		t.Error("live→nil handoff returned a live stopwatch")
 	}
-	if a.Count() != 2 {
-		t.Errorf("live→nil handoff did not record the first stage: count=%d", a.Count())
+	if a.count.Load() != 2 {
+		t.Errorf("live→nil handoff did not record the first stage: count=%d", a.count.Load())
 	}
 	if nilH.Start().Handoff(nil).Stop() != 0 {
 		t.Error("nil→nil handoff not inert")

@@ -40,7 +40,7 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 						inBuckets += b.Count
 					}
 					inBuckets += hs.Overflow
-					if inBuckets > r.Histogram(name, nil).Count() {
+					if inBuckets > r.Histogram(name, nil).count.Load() {
 						t.Errorf("%s: buckets %d > later count", name, inBuckets)
 						return
 					}
@@ -79,7 +79,7 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 		t.Errorf("own.count = %d", got)
 	}
 	// Histogram totals: one Observe plus one Stopwatch per iteration.
-	if got := r.Histogram("shared.lat", nil).Count(); got != uint64(2*writers*perIter) {
+	if got := r.Histogram("shared.lat", nil).count.Load(); got != uint64(2*writers*perIter) {
 		t.Errorf("shared.lat count = %d, want %d", got, 2*writers*perIter)
 	}
 }

@@ -34,14 +34,6 @@ type HistogramSnapshot struct {
 	Overflow uint64           `json:"overflow"`
 }
 
-// Mean returns Sum/Count (0 when empty).
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
 // Quantile estimates the q-quantile (0 < q < 1) by linear
 // interpolation inside the covering bucket; observations in the
 // overflow bucket resolve to Max. The rank is taken over the bucket

@@ -91,9 +91,18 @@ func TestComponentsOrthonormal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, _ := mat.Sub(utu, mat.Identity(6))
-	if diff.MaxAbs() > 1e-8 {
-		t.Errorf("UᵀU deviates from I by %g", diff.MaxAbs())
+	dev := 0.0
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			want := 0.0
+			if i == j {
+				want = 1
+			}
+			dev = math.Max(dev, math.Abs(utu.At(i, j)-want))
+		}
+	}
+	if dev > 1e-8 {
+		t.Errorf("UᵀU deviates from I by %g", dev)
 	}
 }
 

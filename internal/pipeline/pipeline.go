@@ -54,7 +54,7 @@ type IntervalRecord struct {
 
 // Pipeline is the online analyzer; plug Process into
 // securecore.SessionConfig.OnMHM. A mutex serializes Process against
-// the read-side accessors (Records, Budget, Alarms, Raised, Analyze),
+// the read-side accessors (Records, Budget, Alarms, Analyze),
 // so a metrics or status exporter may poll a running pipeline from
 // another goroutine.
 type Pipeline struct {
@@ -164,13 +164,6 @@ func (p *Pipeline) Alarms() []alarm.Event {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.rt.Events()
-}
-
-// Raised reports the current alarm state.
-func (p *Pipeline) Raised() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rt.Raised()
 }
 
 // BudgetReport summarizes whether the analysis fits the monitoring

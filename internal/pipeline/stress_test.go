@@ -47,7 +47,6 @@ func TestConcurrentPipelineAndSnapshot(t *testing.T) {
 				}
 				_ = p.Records()
 				_ = p.Budget()
-				_ = p.Raised()
 				_ = p.Alarms()
 			}
 		}()

@@ -166,6 +166,3 @@ func (l *Loop) Stats() LoopStats {
 
 // Err returns the most recent retained error, if any.
 func (l *Loop) Err() error { return l.lastErr }
-
-// Refresher exposes the underlying engine (tests poke its windows).
-func (l *Loop) Refresher() *Refresher { return l.r }

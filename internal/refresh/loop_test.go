@@ -130,7 +130,7 @@ func TestNewLoopValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Refresher() == nil {
+	if l.r == nil {
 		t.Fatal("nil refresher")
 	}
 }

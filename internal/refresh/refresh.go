@@ -273,13 +273,6 @@ func (r *Refresher) Observe(v []float64, logDensity float64) error {
 	return err
 }
 
-// Drift reports whether the drift alarm is raised (cleared by the next
-// Refresh, which takes the full-rebuild path).
-func (r *Refresher) Drift() bool { return r.drift }
-
-// DriftStat returns the current CUSUM accumulator value.
-func (r *Refresher) DriftStat() float64 { return r.cusum.S }
-
 // Ready reports whether the training window holds enough samples to
 // refresh the model.
 func (r *Refresher) Ready() bool { return r.sketch.Len() >= r.lp+2 }

@@ -270,13 +270,13 @@ func TestRefreshDriftTriggersFullRebuild(t *testing.T) {
 	if _, err := r.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Drift() {
+	if r.drift {
 		t.Fatal("drift raised on the baseline")
 	}
 	// Report densities displaced far below the fitted channel.
 	l := fleet.SimRegion.Cells()
 	v := make([]float64, l)
-	for i := 0; i < 60 && !r.Drift(); i++ {
+	for i := 0; i < 60 && !r.drift; i++ {
 		wl.VectorInto(v, i%4, 200+i, false)
 		d, err := det.LogDensityVector(v)
 		if err != nil {
@@ -286,7 +286,7 @@ func TestRefreshDriftTriggersFullRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !r.Drift() {
+	if !r.drift {
 		t.Fatal("persistent density shift did not raise the drift alarm")
 	}
 	res, err := r.Refresh()
@@ -296,7 +296,7 @@ func TestRefreshDriftTriggersFullRebuild(t *testing.T) {
 	if !res.FullRebuild {
 		t.Fatal("drift alarm did not force the full-rebuild path")
 	}
-	if r.Drift() || r.DriftStat() != 0 {
+	if r.drift || r.cusum.S != 0 {
 		t.Fatal("refresh did not clear the drift alarm")
 	}
 	_, fulls, alarms := r.Counters()
@@ -384,8 +384,8 @@ func TestObserveRejectsNonFinite(t *testing.T) {
 			if err := r.Observe(v, d); !errors.Is(err, ErrNonFinite) {
 				t.Fatalf("after %d: observing a %v cell: err = %v, want ErrNonFinite", before, bad, err)
 			}
-			if r.DriftStat() != clean.DriftStat() {
-				t.Fatalf("after %d: rejected %v moved the CUSUM: %v, want %v", before, bad, r.DriftStat(), clean.DriftStat())
+			if r.cusum.S != clean.cusum.S {
+				t.Fatalf("after %d: rejected %v moved the CUSUM: %v, want %v", before, bad, r.cusum.S, clean.cusum.S)
 			}
 			want := refreshOutcomeAfter(t, clean, wl, det, before)
 			if got := refreshOutcomeAfter(t, r, wl, det, before); got != want {

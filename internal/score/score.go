@@ -110,9 +110,6 @@ func New(p *pca.Model, g *gmm.Model) (*Engine, error) {
 // Dim returns (L, L').
 func (e *Engine) Dim() (int, int) { return e.l, e.lp }
 
-// Components returns the number of active (positive-weight) Gaussians.
-func (e *Engine) Components() int { return len(e.comps) }
-
 // Scorer is a per-worker handle: the shared Engine plus private scratch.
 // Not safe for concurrent use; create one per goroutine.
 type Scorer struct {
@@ -151,16 +148,6 @@ func (s *Scorer) Score(v []float64) (float64, error) {
 	}
 	s.e.projectInto(s.w, v)
 	return s.e.mixKernel(s.w, s.y, s.terms), nil
-}
-
-// ScoreReduced scores an already-projected L'-dimensional weight vector.
-//
-//mhm:deterministic
-func (s *Scorer) ScoreReduced(w []float64) (float64, error) {
-	if len(w) != s.e.lp {
-		return 0, fmt.Errorf("score: reduced length %d, want %d: %w", len(w), s.e.lp, ErrModel)
-	}
-	return s.e.mixKernel(w, s.y, s.terms), nil
 }
 
 // ScoreBatch scores B vectors into dst (len(dst) == len(vecs)). The

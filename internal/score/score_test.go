@@ -214,15 +214,9 @@ func TestEngineValidation(t *testing.T) {
 	if l, lp := eng.Dim(); l != 32 || lp != 4 {
 		t.Errorf("Dim = (%d, %d)", l, lp)
 	}
-	if eng.Components() != 2 {
-		t.Errorf("Components = %d", eng.Components())
-	}
 	s := eng.NewScorer()
 	if _, err := s.Score(make([]float64, 31)); !errors.Is(err, score.ErrModel) {
 		t.Errorf("short vector: %v", err)
-	}
-	if _, err := s.ScoreReduced(make([]float64, 5)); !errors.Is(err, score.ErrModel) {
-		t.Errorf("long reduced: %v", err)
 	}
 	if err := s.ScoreBatch(make([]float64, 2), randomVecs(3, 32, 9)); !errors.Is(err, score.ErrModel) {
 		t.Errorf("dst mismatch: %v", err)
@@ -240,9 +234,6 @@ func TestZeroWeightComponents(t *testing.T) {
 	eng, err := score.New(p, g)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if eng.Components() != 2 {
-		t.Fatalf("Components = %d, want 2", eng.Components())
 	}
 	s := eng.NewScorer()
 	v := randomVecs(1, 32, 12)[0]

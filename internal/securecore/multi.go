@@ -106,6 +106,3 @@ func (s *MultiSession) Run(horizon int64) ([][]*heatmap.HeatMap, error) {
 	}
 	return s.maps, nil
 }
-
-// Devices exposes the per-region Memometers.
-func (s *MultiSession) Devices() []*memometer.Device { return s.devices }

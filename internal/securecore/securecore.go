@@ -158,9 +158,6 @@ func (m *Monitor) SetICache(c *cache.ICache) { m.icache = c }
 // run.
 func (m *Monitor) SetTraceWriter(w *trace.Writer) { m.tap = w }
 
-// Device exposes the underlying Memometer (stats, pending state).
-func (m *Monitor) Device() *memometer.Device { return m.dev }
-
 // Err returns the first pipeline error, if any. Listener callbacks have
 // no error channel, so failures latch here and suppress further work.
 func (m *Monitor) Err() error { return m.err }
@@ -199,19 +196,6 @@ func (m *Monitor) deliver() {
 		m.delivered.Inc()
 	}
 	m.buf = m.buf[:0]
-}
-
-// EmitService injects scale invocations of a named service at time t,
-// used by attack scenarios for kernel activity that does not belong to a
-// scheduled task (e.g. insmod loading the rootkit module).
-func (m *Monitor) EmitService(t int64, name string, scale float64) error {
-	svc, err := m.img.Service(name)
-	if err != nil {
-		return err
-	}
-	m.buf = svc.Emit(m.rng, t, scale, m.buf)
-	m.deliver()
-	return m.err
 }
 
 // AdvanceTo pushes the device clock to t, closing any pending interval;

@@ -53,8 +53,8 @@ func TestSessionProducesOneMHMPerInterval(t *testing.T) {
 	if err := s.Monitor.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Monitor.Device().Stats().Overruns != 0 {
-		t.Errorf("overruns: %d", s.Monitor.Device().Stats().Overruns)
+	if s.Monitor.dev.Stats().Overruns != 0 {
+		t.Errorf("overruns: %d", s.Monitor.dev.Stats().Overruns)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestAccessesConfinedToKernelText(t *testing.T) {
 	if _, err := s.Run(100000); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Monitor.Device().Stats()
+	st := s.Monitor.dev.Stats()
 	if st.Snooped == 0 {
 		t.Fatal("no snoops")
 	}
@@ -158,36 +158,6 @@ func TestAccessesConfinedToKernelText(t *testing.T) {
 	// should accept every burst.
 	if st.Accepted != st.Snooped {
 		t.Errorf("accepted %d of %d snoops; emission leaked outside .text", st.Accepted, st.Snooped)
-	}
-}
-
-func TestEmitService(t *testing.T) {
-	img := testImage(t)
-	var got []*heatmap.HeatMap
-	mon, err := NewMonitor(img, memometer.Config{
-		Region:         heatmap.Def{AddrBase: img.Base, Size: img.Size, Gran: 2048},
-		IntervalMicros: 10000,
-	}, 1, func(hm *heatmap.HeatMap) error {
-		got = append(got, hm)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.EmitService(5000, kernelmap.SvcModuleLoad, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := mon.AdvanceTo(10000); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("MHMs = %d", len(got))
-	}
-	if got[0].Total() < 10000 {
-		t.Errorf("module load emitted only %d fetches", got[0].Total())
-	}
-	if err := mon.EmitService(11000, "nope", 1); !errors.Is(err, kernelmap.ErrUnknownService) {
-		t.Errorf("unknown service: %v", err)
 	}
 }
 
@@ -201,8 +171,10 @@ func TestSinkErrorLatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mon.EmitService(1500, kernelmap.SvcRead, 1); !errors.Is(err, sentinel) {
-		t.Errorf("EmitService err = %v", err)
+	// A tick past the first boundary closes an interval into the sink.
+	mon.OnTick(1500)
+	if err := mon.Err(); !errors.Is(err, sentinel) {
+		t.Errorf("tick err = %v", err)
 	}
 	if !errors.Is(mon.Err(), ErrMonitor) {
 		t.Errorf("Err = %v, want ErrMonitor wrap", mon.Err())

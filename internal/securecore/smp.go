@@ -85,9 +85,6 @@ func NewSMPSession(img *kernelmap.Image, coreTasks [][]*rtos.Task, cfg SessionCo
 	return s, nil
 }
 
-// Device exposes the shared Memometer.
-func (s *SMPSession) Device() *memometer.Device { return s.smp.Device() }
-
 // Run starts every core's scheduler, advances the simulation to the
 // horizon, and finalizes the merge, returning all completed MHMs.
 // Unlike Session.Run it is single-shot: the SMP merge closes its ports
@@ -114,6 +111,3 @@ func (s *SMPSession) Run(horizon int64) ([]*heatmap.HeatMap, error) {
 	}
 	return s.maps, nil
 }
-
-// Maps returns the MHMs collected so far.
-func (s *SMPSession) Maps() []*heatmap.HeatMap { return s.maps }

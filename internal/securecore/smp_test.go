@@ -51,8 +51,8 @@ func TestSMPSessionProducesMergedMHMs(t *testing.T) {
 			t.Errorf("interval %d empty", i)
 		}
 	}
-	if s.Device().Stats().Overruns != 0 {
-		t.Errorf("overruns: %d", s.Device().Stats().Overruns)
+	if s.smp.Device().Stats().Overruns != 0 {
+		t.Errorf("overruns: %d", s.smp.Device().Stats().Overruns)
 	}
 }
 
@@ -189,8 +189,8 @@ func TestCachedSessionThinsTraffic(t *testing.T) {
 			t.Errorf("cached interval %d starts at %d", i, m.Start)
 		}
 	}
-	if cached.Monitor.Device().Stats().Overruns != 0 {
-		t.Errorf("overruns with cache: %d", cached.Monitor.Device().Stats().Overruns)
+	if cached.Monitor.dev.Stats().Overruns != 0 {
+		t.Errorf("overruns with cache: %d", cached.Monitor.dev.Stats().Overruns)
 	}
 }
 
@@ -201,24 +201,6 @@ func TestPortMonitorValidation(t *testing.T) {
 	}
 	if _, err := NewPortMonitor(nil, 1, func(a trace.Access) error { return nil }); err == nil {
 		t.Error("nil image accepted")
-	}
-}
-
-func TestSMPMapsAccessor(t *testing.T) {
-	img := testImage(t)
-	s, err := NewSMPSession(img, twoCoreTasks(t, img), SessionConfig{NoiseSeed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Maps()) != 0 {
-		t.Error("maps before run")
-	}
-	maps, err := s.Run(50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Maps()) != len(maps) {
-		t.Errorf("Maps() = %d, Run returned %d", len(s.Maps()), len(maps))
 	}
 }
 
@@ -239,7 +221,7 @@ func TestMultiSessionDevicesAccessor(t *testing.T) {
 	if _, err := s.Run(30_000); err != nil {
 		t.Fatal(err)
 	}
-	devs := s.Devices()
+	devs := s.devices
 	if len(devs) != 2 {
 		t.Fatalf("devices = %d", len(devs))
 	}

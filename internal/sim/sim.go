@@ -13,9 +13,6 @@ import (
 // ErrPast is returned when an event is scheduled before the current time.
 var ErrPast = errors.New("sim: event scheduled in the past")
 
-// ErrStopped is returned by Run when the engine was stopped explicitly.
-var ErrStopped = errors.New("sim: stopped")
-
 // Handler is invoked when its event fires; now is the simulation time.
 type Handler func(now int64)
 
@@ -47,10 +44,9 @@ func (q *eventQueue) Pop() any {
 
 // Engine is a single-threaded discrete-event simulator.
 type Engine struct {
-	now     int64
-	seq     uint64
-	queue   eventQueue
-	stopped bool
+	now   int64
+	seq   uint64
+	queue eventQueue
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -79,22 +75,12 @@ func (e *Engine) After(delay int64, fn Handler) error {
 	return e.At(e.now+delay, fn)
 }
 
-// Stop makes Run return after the current handler completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// Run executes events in time order until the queue empties, the clock
-// passes horizon (exclusive), or Stop is called. It returns the number of
-// events executed. Events scheduled at or after horizon stay queued.
+// Run executes events in time order until the queue empties or the
+// clock passes horizon (exclusive). It returns the number of events
+// executed. Events scheduled at or after horizon stay queued.
 func (e *Engine) Run(horizon int64) (int, error) {
-	e.stopped = false
 	executed := 0
 	for len(e.queue) > 0 {
-		if e.stopped {
-			return executed, ErrStopped
-		}
 		next := e.queue[0]
 		if next.time >= horizon {
 			// Park the clock at the horizon so a subsequent Run resumes

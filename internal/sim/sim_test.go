@@ -107,8 +107,8 @@ func TestHorizonLeavesFutureEventsQueued(t *testing.T) {
 	if _, err := e.Run(20); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != 2 || e.Pending() != 1 {
-		t.Errorf("fired=%v pending=%d", fired, e.Pending())
+	if len(fired) != 2 || len(e.queue) != 1 {
+		t.Errorf("fired=%v pending=%d", fired, len(e.queue))
 	}
 	if e.Now() != 20 {
 		t.Errorf("clock = %d", e.Now())
@@ -134,38 +134,8 @@ func TestEventAtHorizonDoesNotFire(t *testing.T) {
 	if fired {
 		t.Error("event at horizon fired (horizon is exclusive)")
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d", e.Pending())
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := int64(1); i <= 10; i++ {
-		if err := e.At(i, func(int64) {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := e.Run(100)
-	if !errors.Is(err, ErrStopped) {
-		t.Errorf("err = %v, want ErrStopped", err)
-	}
-	if n != 3 || count != 3 {
-		t.Errorf("executed %d, count %d", n, count)
-	}
-	// Run again resumes from where it stopped.
-	n2, err := e.Run(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 != 7 {
-		t.Errorf("resumed executed %d, want 7", n2)
+	if len(e.queue) != 1 {
+		t.Errorf("pending = %d", len(e.queue))
 	}
 }
 

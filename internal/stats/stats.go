@@ -78,34 +78,6 @@ func Quantile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Min returns the smallest element.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Welford is an online mean/variance accumulator (Welford's algorithm),
 // used for streaming statistics over interval series without retaining
 // the series.
@@ -139,50 +111,3 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the running sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi); values
-// outside the range are clamped into the edge buckets so nothing is
-// silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: NewHistogram: n=%d must be positive", n)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: NewHistogram: lo=%g must be < hi=%g", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	idx := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	h.Counts[idx]++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BucketCenter returns the midpoint value of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}

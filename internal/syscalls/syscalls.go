@@ -165,9 +165,6 @@ func (r *Recorder) Finish(horizon int64) []Sample {
 	return r.samples
 }
 
-// Samples returns the completed samples collected so far.
-func (r *Recorder) Samples() []Sample { return r.samples }
-
 // Smooth returns sliding-window averages of the samples: output i
 // averages samples [i-window+1, i] (truncated at the front). Window 1
 // returns per-interval samples unchanged. Averaging over the task set's

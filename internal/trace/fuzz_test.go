@@ -51,7 +51,7 @@ func FuzzReader(f *testing.F) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewReader(&out).ReadAll()
+		got, err := readAll(NewReader(&out))
 		if err != nil {
 			t.Fatalf("re-parse: %v", err)
 		}

@@ -26,56 +26,6 @@ type Access struct {
 	Count uint32
 }
 
-// Ring is a fixed-capacity ring buffer of Access events with
-// overwrite-oldest semantics, mirroring a bounded hardware capture
-// buffer. Not safe for concurrent use.
-type Ring struct {
-	buf   []Access
-	head  int // index of oldest element
-	count int
-	drops uint64
-}
-
-// NewRing returns a ring that retains the most recent capacity events.
-func NewRing(capacity int) (*Ring, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("trace: NewRing: capacity %d must be positive", capacity)
-	}
-	return &Ring{buf: make([]Access, capacity)}, nil
-}
-
-// Push appends an event, overwriting the oldest one when full.
-func (r *Ring) Push(a Access) {
-	if r.count < len(r.buf) {
-		r.buf[(r.head+r.count)%len(r.buf)] = a
-		r.count++
-		return
-	}
-	r.buf[r.head] = a
-	r.head = (r.head + 1) % len(r.buf)
-	r.drops++
-}
-
-// Len returns the number of retained events.
-func (r *Ring) Len() int { return r.count }
-
-// Drops returns how many events have been overwritten.
-func (r *Ring) Drops() uint64 { return r.drops }
-
-// Snapshot returns the retained events, oldest first.
-func (r *Ring) Snapshot() []Access {
-	out := make([]Access, r.count)
-	for i := 0; i < r.count; i++ {
-		out[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	return out
-}
-
-// Reset empties the ring without releasing storage.
-func (r *Ring) Reset() {
-	r.head, r.count, r.drops = 0, 0, 0
-}
-
 // binaryMagic guards the trace file framing.
 const binaryMagic = uint32(0x4d484d54) // "MHMT"
 
@@ -232,20 +182,5 @@ func (tr *Reader) ReadBatch(dst []Access) (int, error) {
 		return k, nil
 	default:
 		return k, err
-	}
-}
-
-// ReadAll drains the stream into a slice.
-func (tr *Reader) ReadAll() ([]Access, error) {
-	var out []Access
-	for {
-		a, err := tr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, a)
 	}
 }

@@ -9,53 +9,18 @@ import (
 	"testing/quick"
 )
 
-func TestRingBasics(t *testing.T) {
-	r, err := NewRing(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 0 {
-		t.Errorf("empty Len = %d", r.Len())
-	}
-	r.Push(Access{Time: 1})
-	r.Push(Access{Time: 2})
-	if got := r.Snapshot(); len(got) != 2 || got[0].Time != 1 || got[1].Time != 2 {
-		t.Errorf("Snapshot = %v", got)
-	}
-	if r.Drops() != 0 {
-		t.Errorf("Drops = %d", r.Drops())
-	}
-}
-
-func TestRingOverwritesOldest(t *testing.T) {
-	r, _ := NewRing(3)
-	for i := int64(1); i <= 5; i++ {
-		r.Push(Access{Time: i})
-	}
-	got := r.Snapshot()
-	if len(got) != 3 {
-		t.Fatalf("Len = %d, want 3", len(got))
-	}
-	for i, want := range []int64{3, 4, 5} {
-		if got[i].Time != want {
-			t.Errorf("Snapshot[%d].Time = %d, want %d", i, got[i].Time, want)
+// readAll drains the stream into a slice.
+func readAll(tr *Reader) ([]Access, error) {
+	var out []Access
+	for {
+		a, err := tr.Read()
+		if errors.Is(err, io.EOF) {
+			return out, nil
 		}
-	}
-	if r.Drops() != 2 {
-		t.Errorf("Drops = %d, want 2", r.Drops())
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Drops() != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
-func TestRingRejectsBadCapacity(t *testing.T) {
-	if _, err := NewRing(0); err == nil {
-		t.Error("capacity 0 accepted")
-	}
-	if _, err := NewRing(-1); err == nil {
-		t.Error("negative capacity accepted")
+		if err != nil {
+			return out, err
+		}
+		out = append(out, a)
 	}
 }
 
@@ -82,7 +47,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewReader(&buf).ReadAll()
+	got, err := readAll(NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +67,7 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewReader(&buf).ReadAll()
+	got, err := readAll(NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +77,11 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 }
 
 func TestReaderRejectsGarbage(t *testing.T) {
-	_, err := NewReader(bytes.NewReader([]byte{1, 2, 3, 4, 5})).ReadAll()
+	_, err := readAll(NewReader(bytes.NewReader([]byte{1, 2, 3, 4, 5})))
 	if !errors.Is(err, ErrBadTrace) {
 		t.Errorf("garbage: err = %v, want ErrBadTrace", err)
 	}
-	_, err = NewReader(bytes.NewReader(nil)).ReadAll()
+	_, err = readAll(NewReader(bytes.NewReader(nil)))
 	if !errors.Is(err, ErrBadTrace) {
 		t.Errorf("empty stream: err = %v, want ErrBadTrace", err)
 	}
@@ -174,7 +139,7 @@ func TestRoundTripQuickProperty(t *testing.T) {
 		if w.Flush() != nil {
 			return false
 		}
-		got, err := NewReader(&buf).ReadAll()
+		got, err := readAll(NewReader(&buf))
 		if err != nil || len(got) != len(events) {
 			return false
 		}

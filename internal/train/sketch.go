@@ -91,9 +91,6 @@ func NewCentered(l, window, workers int) (*Centered, error) {
 // Len returns the number of samples currently held (≤ Window).
 func (c *Centered) Len() int { return c.n }
 
-// Window returns the sliding-window capacity.
-func (c *Centered) Window() int { return c.window }
-
 // Dim returns the sample dimension L (the SymOp contract).
 func (c *Centered) Dim() int { return c.l }
 

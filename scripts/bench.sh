@@ -5,16 +5,14 @@
 # Every BENCH_*.json records the runner's runtime.NumCPU() as "cpus" so
 # a baseline declares the parallelism it was measured under. Speedup
 # rows that compare a parallel engine against its serial twin
-# (sharded_speedup, train_speedup, pca_speedup) are SKIPPED — not
+# (train_speedup, pca_speedup) are SKIPPED — not
 # recorded as 1.0x — on single-CPU runners, where the comparison is
 # meaningless by construction.
 #
-# Scoring: runs the three scoring-path benchmarks (single-vector
-# analysis loop, batched ScoreBatch at B=64, sharded multi-stream
-# pipeline) several times, takes the median ns/op of each, and writes
-# BENCH_scoring.json at the repo root with the derived batch-vs-single
-# and (on multi-core runners) sharded-vs-single speedups. Bar:
-# batch_speedup >= 2.
+# Scoring: runs the two scoring-path benchmarks (single-vector analysis
+# loop, batched ScoreBatch at B=64) several times, takes the median
+# ns/op of each, and writes BENCH_scoring.json at the repo root with
+# the derived batch-vs-single speedup. Bar: batch_speedup >= 2.
 #
 # Training: runs the training-engine benchmarks (core.Train serial vs
 # parallel, pca.Train serial vs parallel, trace decode per-record vs
@@ -63,7 +61,7 @@ CPUS="$(go run ./scripts/numcpu)"
 case "$CPUS" in ''|*[!0-9]*) CPUS=1 ;; esac
 
 RAW="$(go test -run '^$' \
-  -bench 'AnalysisTime_L1472_Lp9_J5$|ScoreBatch$|ShardedPipeline$' \
+  -bench 'AnalysisTime_L1472_Lp9_J5$|ScoreBatch$' \
   -benchmem -benchtime="$BENCHTIME" -count="$COUNT" .)"
 
 printf '%s\n' "$RAW"
@@ -94,13 +92,8 @@ function field(key, bench,    v) {
 END {
     printf "{\n" > out
     printf "  \"cpus\": %d,\n", cpus >> out
-    single  = field("single",  "AnalysisTime_L1472_Lp9_J5")
-    batch   = field("batch64", "ScoreBatch")
-    sharded = field("sharded", "ShardedPipeline")
-    if (cpus > 1)
-        printf "  \"sharded_speedup\": %.2f,\n", single / sharded >> out
-    else
-        printf "bench.sh: single-core runner; sharded_speedup row skipped\n" > "/dev/stderr"
+    single = field("single",  "AnalysisTime_L1472_Lp9_J5")
+    batch  = field("batch64", "ScoreBatch")
     printf "  \"batch_speedup\": %.2f\n", single / batch >> out
     printf "}\n" >> out
     if (single / batch < 2.0) {
