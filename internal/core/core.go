@@ -25,7 +25,8 @@ var (
 	// ErrConfig wraps invalid training configuration or inputs.
 	ErrConfig = errors.New("core: invalid configuration")
 	// ErrRegionMismatch is returned when an MHM's definition differs from
-	// the one the detector was trained on.
+	// the one the detector was trained on, or its counts do not number
+	// that definition's cells.
 	ErrRegionMismatch = errors.New("core: heat map region differs from trained region")
 	// ErrUnknownQuantile is returned when a threshold is requested for an
 	// uncalibrated quantile.
@@ -149,7 +150,7 @@ func Train(trainSet, calib []*heatmap.HeatMap, cfg Config) (*Detector, error) {
 	}
 	region := trainSet[0].Def
 	for i, m := range trainSet {
-		if m.Def != region {
+		if !m.Matches(region) {
 			return nil, fmt.Errorf("core: training MHM %d: %w", i, ErrRegionMismatch)
 		}
 	}
@@ -179,7 +180,7 @@ func Train(trainSet, calib []*heatmap.HeatMap, cfg Config) (*Detector, error) {
 	// Calibrate thresholds on the held-out normal set, batched through
 	// the fused engine.
 	for i, m := range calib {
-		if m.Def != region {
+		if !m.Matches(region) {
 			return nil, fmt.Errorf("core: calibration MHM %d: %w", i, ErrRegionMismatch)
 		}
 	}
@@ -283,8 +284,9 @@ func (d *Detector) Residual(m *heatmap.HeatMap) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if m.Def != d.Region {
-		return 0, fmt.Errorf("core: got %+v, trained on %+v: %w", m.Def, d.Region, ErrRegionMismatch)
+	if !m.Matches(d.Region) {
+		return 0, fmt.Errorf("core: got %+v with %d cells, trained on %+v: %w",
+			m.Def, len(m.Counts), d.Region, ErrRegionMismatch)
 	}
 	s := rt.pool.Get().(*detScratch)
 	defer rt.pool.Put(s)
@@ -336,8 +338,9 @@ func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if m.Def != d.Region {
-		return 0, fmt.Errorf("core: got %+v, trained on %+v: %w", m.Def, d.Region, ErrRegionMismatch)
+	if !m.Matches(d.Region) {
+		return 0, fmt.Errorf("core: got %+v with %d cells, trained on %+v: %w",
+			m.Def, len(m.Counts), d.Region, ErrRegionMismatch)
 	}
 	s := rt.pool.Get().(*detScratch)
 	defer rt.pool.Put(s)
@@ -415,7 +418,7 @@ func (d *Detector) ClassifySeries(maps []*heatmap.HeatMap) ([]Verdict, error) {
 		return nil, nil
 	}
 	for i, m := range maps {
-		if m.Def != d.Region {
+		if !m.Matches(d.Region) {
 			return nil, fmt.Errorf("core: interval %d: %w", i, ErrRegionMismatch)
 		}
 	}

@@ -154,3 +154,34 @@ func TestResidualConfigValidation(t *testing.T) {
 		t.Errorf("bad residual quantile: %v", err)
 	}
 }
+
+// TestMalformedCountsRejected: a map carrying the trained definition but
+// a count vector of another length is rejected with ErrRegionMismatch
+// by every scoring and training entry, instead of panicking inside
+// VectorInto.
+func TestMalformedCountsRejected(t *testing.T) {
+	d, rng := trainResidualDetector(t)
+	good := []*heatmap.HeatMap{patternMap(rng, 0), patternMap(rng, 1), patternMap(rng, 2)}
+	for _, cells := range []int{d.Region.Cells() - 1, d.Region.Cells() + 1, 0} {
+		m := &heatmap.HeatMap{Def: d.Region, Counts: make([]uint32, cells)}
+		if _, err := d.LogDensity(m); !errors.Is(err, ErrRegionMismatch) {
+			t.Errorf("%d cells: LogDensity: %v, want ErrRegionMismatch", cells, err)
+		}
+		if _, _, err := d.Classify(m, 0.01); !errors.Is(err, ErrRegionMismatch) {
+			t.Errorf("%d cells: Classify: %v, want ErrRegionMismatch", cells, err)
+		}
+		if _, err := d.Residual(m); !errors.Is(err, ErrRegionMismatch) {
+			t.Errorf("%d cells: Residual: %v, want ErrRegionMismatch", cells, err)
+		}
+		if _, _, _, err := d.ClassifyWithResidual(m, 0.01); !errors.Is(err, ErrRegionMismatch) {
+			t.Errorf("%d cells: ClassifyWithResidual: %v, want ErrRegionMismatch", cells, err)
+		}
+		series := append(append([]*heatmap.HeatMap{}, good...), m)
+		if _, err := d.ClassifySeries(series); !errors.Is(err, ErrRegionMismatch) {
+			t.Errorf("%d cells: ClassifySeries: %v, want ErrRegionMismatch", cells, err)
+		}
+		if _, err := Train(series, good, Config{}); !errors.Is(err, ErrRegionMismatch) {
+			t.Errorf("%d cells: Train: %v, want ErrRegionMismatch", cells, err)
+		}
+	}
+}

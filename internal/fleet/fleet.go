@@ -264,7 +264,7 @@ func (c *Controller) Submit(stream int, m *heatmap.HeatMap) (admitted bool, err 
 	if stream < 0 || stream >= len(c.streams) {
 		return false, fmt.Errorf("fleet: stream %d out of [0,%d): %w", stream, len(c.streams), ErrConfig)
 	}
-	if m.Def != c.region {
+	if !m.Matches(c.region) {
 		return false, fmt.Errorf("fleet: stream %d: %w", stream, core.ErrRegionMismatch)
 	}
 	c.mu.RLock()

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -264,5 +265,24 @@ func TestControllerShedsFairly(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Counters["fleet.shed"] == 0 {
 		t.Fatal("fleet.shed counter not incremented")
+	}
+}
+
+// TestSubmitMalformedCounts: Submit refuses a map whose counts do not
+// number its definition's cells, so no shard worker ever scores one.
+func TestSubmitMalformedCounts(t *testing.T) {
+	wl, det := fixture(t)
+	c, err := New(det, 2, Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &heatmap.HeatMap{Def: det.Region, Counts: make([]uint32, det.Region.Cells()-1)}
+	if ok, err := c.Submit(0, short); ok || !errors.Is(err, core.ErrRegionMismatch) {
+		t.Errorf("short counts: admitted=%v err=%v, want refusal with ErrRegionMismatch", ok, err)
+	}
+	mustSubmit(t, c, wl, 0, 0)
+	c.Close()
+	if recs, err := c.Records(0); err != nil || len(recs) != 1 {
+		t.Fatalf("records after a refused submission: %d, %v; want 1", len(recs), err)
 	}
 }

@@ -120,6 +120,13 @@ func New(d Def) (*HeatMap, error) {
 	return &HeatMap{Def: d, Counts: make([]uint32, d.Cells())}, nil
 }
 
+// Matches reports whether h is a well-formed map of d: defined by d and
+// holding d.Cells() counts. A map built or decoded outside New can
+// carry counts whose length disagrees with its definition.
+func (h *HeatMap) Matches(d Def) bool {
+	return h.Def == d && len(h.Counts) == d.Cells()
+}
+
 // Record adds count accesses at addr, returning true when the address was
 // inside the monitored region. Counters saturate at 2³²−1 rather than
 // wrapping.
@@ -137,26 +144,6 @@ func (h *HeatMap) Record(addr uint64, count uint32) bool {
 		h.Counts[idx] = c + count
 	}
 	return true
-}
-
-// RecordNew is Record, additionally reporting whether this access
-// occupied a previously-empty cell — the signal occupancy trackers
-// (the Memometer's sparse-collect routing) need without a rescan.
-//
-//mhm:hotpath
-func (h *HeatMap) RecordNew(addr uint64, count uint32) (newCell, ok bool) {
-	idx, ok := h.Def.CellIndex(addr)
-	if !ok {
-		return false, false
-	}
-	c := h.Counts[idx]
-	newCell = c == 0 && count > 0
-	if c > math.MaxUint32-count {
-		h.Counts[idx] = math.MaxUint32
-	} else {
-		h.Counts[idx] = c + count
-	}
-	return newCell, true
 }
 
 // Reset zeroes all counters.
@@ -233,6 +220,10 @@ func PackVectors(maps []*HeatMap) ([][]float64, error) {
 	for i, m := range maps {
 		if m.Def != def {
 			return nil, fmt.Errorf("heatmap: PackVectors: map %d definition differs: %w", i, ErrConfig)
+		}
+		if len(m.Counts) != l {
+			return nil, fmt.Errorf("heatmap: PackVectors: map %d has %d cells, map 0 has %d: %w",
+				i, len(m.Counts), l, ErrConfig)
 		}
 		v := backing[i*l : (i+1)*l : (i+1)*l]
 		m.VectorInto(v)

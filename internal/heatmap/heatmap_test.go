@@ -272,3 +272,18 @@ func TestRender(t *testing.T) {
 		t.Error("empty render for zero map")
 	}
 }
+
+// TestPackVectorsRejectsMalformedCounts: a later map whose counts differ
+// in length from the first map's is ErrConfig, not a panic.
+func TestPackVectorsRejectsMalformedCounts(t *testing.T) {
+	d := Def{AddrBase: 0, Size: 64, Gran: 8}
+	a, _ := New(d)
+	short := &HeatMap{Def: d, Counts: make([]uint32, d.Cells()-1)}
+	if _, err := PackVectors([]*HeatMap{a, short}); !errors.Is(err, ErrConfig) {
+		t.Errorf("short second map: %v, want ErrConfig", err)
+	}
+	long := &HeatMap{Def: d, Counts: make([]uint32, d.Cells()+1)}
+	if _, err := PackVectors([]*HeatMap{a, long}); !errors.Is(err, ErrConfig) {
+		t.Errorf("long second map: %v, want ErrConfig", err)
+	}
+}

@@ -76,6 +76,8 @@ func (h *HeatMap) Sparsify(dst *Sparse) *Sparse {
 // the right cell count (its counts are overwritten); a nil or
 // mis-sized dst allocates. Sparsify and Dense are exact inverses:
 // Dense(Sparsify(h)) reproduces h's definition, interval, and counts.
+//
+//mhmlint:ignore deadapi the round-trip oracle of TestSparsifyDenseRoundTrip, TestSparseEdgeShapes, FuzzSparseRoundTrip and TestCollectSparseMatchesCollect
 func (s *Sparse) Dense(dst *HeatMap) *HeatMap {
 	l := s.Def.Cells()
 	if dst == nil || len(dst.Counts) != l {

@@ -26,14 +26,6 @@ const (
 	MaxCells = MemoryBytes / CounterBytes
 )
 
-// SparseCollectFrac is the occupancy fraction below which Collect
-// routes the snapshot through the run-length form: the completed MHM is
-// sparsified into a reusable scratch and scattered into a fresh
-// (runtime-zeroed) map instead of dense-cloned, so a mostly-empty
-// interval copies only its occupied runs. The routing is behavioural
-// only — both routes produce bit-identical snapshots.
-const SparseCollectFrac = 0.25
-
 // Errors reported by the device model.
 var (
 	// ErrConfig wraps invalid monitoring parameters.
@@ -86,9 +78,6 @@ type Stats struct {
 	// secure core had not collected the previous one in time (both
 	// on-chip memories full).
 	Overruns uint64
-	// SparseCollects counts Collect calls that took the run-length route
-	// (interval occupancy below SparseCollectFrac).
-	SparseCollects uint64
 }
 
 // deviceMetrics mirrors Stats into live obs counters; all-nil (free)
@@ -117,10 +106,6 @@ type Device struct {
 	pending  *heatmap.HeatMap // completed MHM awaiting secure-core Collect
 	started  int64            // start time of the active interval
 	lastTime int64
-
-	activeOcc  int            // occupied cells in the active interval
-	pendingOcc int            // occupied cells in the pending MHM
-	sparse     heatmap.Sparse // reusable sparse-route Collect scratch
 
 	stats Stats
 	met   deviceMetrics
@@ -163,8 +148,6 @@ func (d *Device) Configure(cfg Config) error {
 	d.pending = nil
 	d.started = 0
 	d.lastTime = 0
-	d.activeOcc = 0
-	d.pendingOcc = 0
 	d.stats = Stats{}
 	return nil
 }
@@ -195,8 +178,6 @@ func (d *Device) advanceTo(t int64) {
 			d.shadow = d.pending
 		}
 		d.pending = d.active
-		d.pendingOcc = d.activeOcc
-		d.activeOcc = 0
 		d.shadow.Reset()
 		d.active = d.shadow
 		d.shadow = nil // exactly one of shadow/pending holds the spare
@@ -251,10 +232,7 @@ func (d *Device) SnoopBurst(t int64, addr uint64, count uint32) error {
 	if count == 0 {
 		return nil
 	}
-	if newCell, ok := d.active.RecordNew(addr, count); ok {
-		if newCell {
-			d.activeOcc++
-		}
+	if d.active.Record(addr, count) {
 		d.stats.Accepted++
 		d.stats.AcceptedAccesses += uint64(count)
 		d.met.accepted.Inc()
@@ -289,12 +267,8 @@ func (d *Device) SnoopBatch(events []trace.Access) (int, error) {
 func (d *Device) HasPending() bool { return d.pending != nil }
 
 // Collect hands the completed MHM to the secure core and frees the
-// on-chip memory for the next swap. The returned heat map is a snapshot
-// the caller owns. When the interval occupied fewer than
-// SparseCollectFrac of the region's cells, the snapshot is built
-// through the run-length form (a reusable scratch scattered into a
-// fresh map) instead of a dense clone; the result is bit-identical
-// either way.
+// on-chip memory for the next swap. The returned heat map is a clone
+// the caller owns; CollectSparse is the route that copies no dense map.
 func (d *Device) Collect() (*heatmap.HeatMap, error) {
 	if !d.configured {
 		return nil, ErrNotConfigured
@@ -302,14 +276,7 @@ func (d *Device) Collect() (*heatmap.HeatMap, error) {
 	if d.pending == nil {
 		return nil, ErrNotReady
 	}
-	var out *heatmap.HeatMap
-	if float64(d.pendingOcc) < SparseCollectFrac*float64(d.cfg.Region.Cells()) {
-		d.pending.Sparsify(&d.sparse)
-		out = d.sparse.Dense(nil)
-		d.stats.SparseCollects++
-	} else {
-		out = d.pending.Clone()
-	}
+	out := d.pending.Clone()
 	// The analyzed on-chip memory is reset and becomes the spare buffer,
 	// per the paper's timing diagram.
 	d.pending.Reset()

@@ -249,3 +249,17 @@ func TestParallelTrainingDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineMalformedCounts: a map with the trained definition but
+// too few counts is an error for Process, not a panic.
+func TestPipelineMalformedCounts(t *testing.T) {
+	det, _ := trainDetector(t, true)
+	p, err := New(det, Config{UseResidual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &heatmap.HeatMap{Def: det.Region, Counts: make([]uint32, det.Region.Cells()-1)}
+	if err := p.Process(short); !errors.Is(err, core.ErrRegionMismatch) {
+		t.Errorf("short counts: %v, want ErrRegionMismatch", err)
+	}
+}

@@ -9,20 +9,180 @@ import (
 	"math/bits"
 )
 
-// projectInto computes the eigenmemory projection w = uᵀv − uᵀΨ as L'
-// sweeps over the contiguous panel. Accumulation order matches mat.Dot,
-// so results are bit-identical to pca.Model.Project.
+// project computes the eigenmemory projection w = uᵀx − uᵀΨ of one
+// vector x that is ±0.0 outside the listed cells: vals[t] is x at cell
+// cells[t], cells ascending. A nil cells list means vals is all of x,
+// swept directly.
+//
+// The panel rows go in groups of at most four, split evenly (L' = 9
+// sweeps three rows three times, not four, four and one), and each pass
+// keeps one accumulator chain per row: the sweep is bound by the add
+// latency of a chain, so a pass over several rows costs about what one
+// row costs. Each chain adds its row's products in ascending cell order,
+// so w[j] is bit-identical to the single-chain sweep of row j over all L
+// cells: by the argument at projectBatchInto, a skipped term is a ±0.0
+// product of a finite panel entry and was a no-op in that sweep.
 //
 //mhm:hotpath
-func (e *Engine) projectInto(w, v []float64) {
-	for j := 0; j < e.lp; j++ {
-		row := e.panel[j*e.l : (j+1)*e.l]
-		s := 0.0
-		for i, x := range row {
-			s += x * v[i]
+//mhm:deterministic
+func (e *Engine) project(w, vals []float64, cells []int32) {
+	l, lp := e.l, e.lp
+	passes := (lp + 3) / 4
+	for g := 0; g < passes; g++ {
+		j0, j1 := g*lp/passes, (g+1)*lp/passes
+		r0 := e.panel[j0*l : (j0+1)*l]
+		switch j1 - j0 {
+		case 1:
+			w[j0] = sweep1(vals, cells, r0) - e.meanOff[j0]
+		case 2:
+			s0, s1 := sweep2(vals, cells, r0, e.panel[(j0+1)*l:(j0+2)*l])
+			w[j0], w[j0+1] = s0-e.meanOff[j0], s1-e.meanOff[j0+1]
+		case 3:
+			s0, s1, s2 := sweep3(vals, cells, r0, e.panel[(j0+1)*l:(j0+2)*l], e.panel[(j0+2)*l:(j0+3)*l])
+			w[j0], w[j0+1], w[j0+2] = s0-e.meanOff[j0], s1-e.meanOff[j0+1], s2-e.meanOff[j0+2]
+		default:
+			s0, s1, s2, s3 := sweep4(vals, cells, r0, e.panel[(j0+1)*l:(j0+2)*l],
+				e.panel[(j0+2)*l:(j0+3)*l], e.panel[(j0+3)*l:(j0+4)*l])
+			w[j0], w[j0+1] = s0-e.meanOff[j0], s1-e.meanOff[j0+1]
+			w[j0+2], w[j0+3] = s2-e.meanOff[j0+2], s3-e.meanOff[j0+3]
 		}
-		w[j] = s - e.meanOff[j]
 	}
+}
+
+// projectVec projects one dense vector v (length L) into w, sweeping
+// the list of occupied cells occupied writes into vals and cells (both
+// of capacity L), or v itself when it is mostly occupied.
+//
+//mhm:hotpath
+//mhm:deterministic
+func (e *Engine) projectVec(w, v, vals []float64, cells []int32) {
+	if n := occupied(vals, cells, v); n >= 0 {
+		e.project(w, vals[:n], cells[:n])
+	} else {
+		e.project(w, v, nil)
+	}
+}
+
+// occupied lists v's occupied cells — those whose bits are not ±0.0;
+// NaN, ±Inf and subnormals count — in ascending order into cells, with
+// their values in vals, and returns how many there are. A cell list
+// pays for itself only while at most about half the cells are
+// occupied, and writing it costs about half a direct sweep on a full
+// vector. So once more than half of the cells scanned so far are
+// occupied, beyond the first 64, the scan gives up and returns −1, and
+// v is swept directly.
+//
+// It is kept out of line: inlined into projectVec, the loop kept n on
+// the stack and ran about twice as slow.
+//
+//mhm:hotpath
+//mhm:deterministic
+//go:noinline
+func occupied(vals []float64, cells []int32, v []float64) int {
+	n := 0
+	for i, x := range v {
+		if math.Float64bits(x)<<1 != 0 {
+			if 2*n > i+64 {
+				return -1
+			}
+			vals[n] = x
+			cells[n] = int32(i)
+			n++
+		}
+	}
+	return n
+}
+
+// sweep1 is one chain of project: Σ_t row[cells[t]]·vals[t] in
+// ascending t, or Σ_i row[i]·vals[i] when cells is nil.
+//
+//mhm:hotpath
+//mhm:deterministic
+func sweep1(vals []float64, cells []int32, r0 []float64) (s0 float64) {
+	if cells == nil {
+		r0 = r0[:len(vals)]
+		for i, x := range vals {
+			s0 += r0[i] * x
+		}
+		return s0
+	}
+	vals = vals[:len(cells)]
+	for t, c := range cells {
+		s0 += r0[c] * vals[t]
+	}
+	return s0
+}
+
+// sweep2 is sweep1 for two rows in one pass, one chain per row.
+//
+//mhm:hotpath
+//mhm:deterministic
+func sweep2(vals []float64, cells []int32, r0, r1 []float64) (s0, s1 float64) {
+	if cells == nil {
+		r0, r1 = r0[:len(vals)], r1[:len(vals)]
+		for i, x := range vals {
+			s0 += r0[i] * x
+			s1 += r1[i] * x
+		}
+		return s0, s1
+	}
+	vals = vals[:len(cells)]
+	for t, c := range cells {
+		x := vals[t]
+		s0 += r0[c] * x
+		s1 += r1[c] * x
+	}
+	return s0, s1
+}
+
+// sweep3 is sweep1 for three rows in one pass, one chain per row.
+//
+//mhm:hotpath
+//mhm:deterministic
+func sweep3(vals []float64, cells []int32, r0, r1, r2 []float64) (s0, s1, s2 float64) {
+	if cells == nil {
+		r0, r1, r2 = r0[:len(vals)], r1[:len(vals)], r2[:len(vals)]
+		for i, x := range vals {
+			s0 += r0[i] * x
+			s1 += r1[i] * x
+			s2 += r2[i] * x
+		}
+		return s0, s1, s2
+	}
+	vals = vals[:len(cells)]
+	for t, c := range cells {
+		x := vals[t]
+		s0 += r0[c] * x
+		s1 += r1[c] * x
+		s2 += r2[c] * x
+	}
+	return s0, s1, s2
+}
+
+// sweep4 is sweep1 for four rows in one pass, one chain per row.
+//
+//mhm:hotpath
+//mhm:deterministic
+func sweep4(vals []float64, cells []int32, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
+	if cells == nil {
+		r0, r1, r2, r3 = r0[:len(vals)], r1[:len(vals)], r2[:len(vals)], r3[:len(vals)]
+		for i, x := range vals {
+			s0 += r0[i] * x
+			s1 += r1[i] * x
+			s2 += r2[i] * x
+			s3 += r3[i] * x
+		}
+		return s0, s1, s2, s3
+	}
+	vals = vals[:len(cells)]
+	for t, c := range cells {
+		x := vals[t]
+		s0 += r0[c] * x
+		s1 += r1[c] * x
+		s2 += r2[c] * x
+		s3 += r3[c] * x
+	}
+	return s0, s1, s2, s3
 }
 
 // tileI is the i-dimension cache tile of the batch projection: 8 lanes
@@ -30,10 +190,10 @@ func (e *Engine) projectInto(w, v []float64) {
 // tile written once is still resident while all L' panel rows sweep it.
 const tileI = 256
 
-// projectBatchInto projects B vectors into wb (row b = reduced vector
-// b). Full blocks of eight vectors run through a packed, L1-tiled,
-// zero-compacted panel product; the remainder block falls back to
-// projectInto.
+// projectBatchInto projects the full blocks of eight vectors in vecs
+// into wb (row b = reduced vector b) through a packed, L1-tiled,
+// zero-compacted panel product. ScoreBatch projects the remainder of
+// fewer than eight vectors one at a time.
 //
 // Per i-tile, one fused scan ORs the raw float64 bits of all eight
 // lanes per column: columns whose every lane is ±0.0 are dropped, the
@@ -59,8 +219,7 @@ const tileI = 256
 //mhm:hotpath
 func (e *Engine) projectBatchInto(wb, pk, prow, acc []float64, ridx []int32, vecs [][]float64) {
 	l, lp := e.l, e.lp
-	b := 0
-	for ; b+8 <= len(vecs); b += 8 {
+	for b := 0; b+8 <= len(vecs); b += 8 {
 		acc := acc[:lp*8]
 		for x := range acc {
 			acc[x] = 0
@@ -141,36 +300,6 @@ func (e *Engine) projectBatchInto(wb, pk, prow, acc []float64, ridx []int32, vec
 				wb[(b+k)*lp+j] = acc[j*8+k] - off
 			}
 		}
-	}
-	for ; b < len(vecs); b++ {
-		e.projectInto(wb[b*lp:(b+1)*lp], vecs[b])
-	}
-}
-
-// projectSparse computes the eigenmemory projection of one interval
-// given only its nonzero cells, as run-length coordinates: run r
-// covers cells starts[r]..starts[r]+lens[r]-1 and sv carries the
-// widened cell values in run order. Each panel row sweeps the runs in
-// ascending cell order, so — by the same ±0.0 argument as
-// projectBatchInto — the result is bit-identical to projectInto on the
-// densified vector.
-//
-//mhm:hotpath
-func (e *Engine) projectSparse(w, sv []float64, starts, lens []int32) {
-	l, lp := e.l, e.lp
-	for j := 0; j < lp; j++ {
-		row := e.panel[j*l : (j+1)*l]
-		s := 0.0
-		off := 0
-		for r, st := range starts {
-			n := int(lens[r])
-			seg := row[int(st) : int(st)+n]
-			for i, x := range seg {
-				s += x * sv[off+i]
-			}
-			off += n
-		}
-		w[j] = s - e.meanOff[j]
 	}
 }
 

@@ -2,6 +2,7 @@ package score_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -166,16 +167,22 @@ func TestScorerZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := eng.NewScorer()
-	v := randomVecs(1, 128, 5)[0]
-	if _, err := s.Score(v); err != nil {
-		t.Fatal(err)
+	dense := randomVecs(1, 128, 5)[0]
+	sparse := make([]float64, 128)
+	for _, i := range []int{3, 4, 5, 40, 90, 91} {
+		sparse[i] = float64(i)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	for _, v := range [][]float64{dense, sparse} {
 		if _, err := s.Score(v); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Errorf("Score allocates %.1f/op, want 0", n)
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := s.Score(v); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Score allocates %.1f/op, want 0", n)
+		}
 	}
 
 	const b = 64
@@ -265,3 +272,37 @@ func TestZeroWeightComponents(t *testing.T) {
 		t.Errorf("dead mixture scored %v, want -Inf", lp)
 	}
 }
+
+// BenchmarkScoreOccupancy times Score at L = 1,472 on a device-like
+// interval (46 occupied cells in short runs), at 25% occupancy and at
+// full occupancy, for L' = 6 and 9: the first two sweep the occupied
+// cell list, the last sweeps the vector directly.
+func BenchmarkScoreOccupancy(b *testing.B) {
+	cases := occupancyCases()
+	full := randomVecs(1, occupancyL, 3)[0]
+	for _, lp := range []int{6, 9} {
+		p, g := synthModel(b, occupancyL, lp, 5, int64(lp))
+		eng, err := score.New(p, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := eng.NewScorer()
+		for _, c := range []struct {
+			name string
+			vec  []float64
+		}{{"device-46", cases[1].vec}, {"quarter", cases[2].vec}, {"full", full}} {
+			b.Run(fmt.Sprintf("Lp%d/%s", lp, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					lp, err := s.Score(c.vec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sink = lp
+				}
+			})
+		}
+	}
+}
+
+var sink float64
