@@ -67,10 +67,10 @@ func (e *Engine) projectVec(w, v, vals []float64, cells []int32) {
 // NaN, ±Inf and subnormals count — in ascending order into cells, with
 // their values in vals, and returns how many there are. A cell list
 // pays for itself only while at most about half the cells are
-// occupied, and writing it costs about half a direct sweep on a full
-// vector. So once more than half of the cells scanned so far are
-// occupied, beyond the first 64, the scan gives up and returns −1, and
-// v is swept directly.
+// occupied, and on a full vector writing it would cost about as much as
+// sweeping v directly. So once more than half of the cells scanned so
+// far are occupied, beyond the first 64, the scan gives up and returns
+// −1, and v is swept directly.
 //
 // It is kept out of line: inlined into projectVec, the loop kept n on
 // the stack and ran about twice as slow.

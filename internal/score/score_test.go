@@ -294,15 +294,16 @@ func BenchmarkScoreOccupancy(b *testing.B) {
 			b.Run(fmt.Sprintf("Lp%d/%s", lp, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					lp, err := s.Score(c.vec)
+					d, err := s.Score(c.vec)
 					if err != nil {
 						b.Fatal(err)
 					}
-					sink = lp
+					sink = d
 				}
 			})
 		}
 	}
 }
 
+// sink keeps benchmarked results live.
 var sink float64
