@@ -1,6 +1,7 @@
 package score
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -88,9 +89,10 @@ func occupancyVec(rng *rand.Rand, l, occ, family int) []float64 {
 // checkAgainstRef scores v through Score, ScoreBatch (a packed block of
 // eight copies plus a remainder of one) and, for count vectors,
 // ScoreSparse on the Sparsify'd map, and demands each score and each
-// reduced vector match projectRef followed by mixKernel. It reports
-// whether Score swept v directly rather than through a cell list.
-func checkAgainstRef(t *testing.T, e *Engine, s *Scorer, v []float64, family int) (direct bool) {
+// reduced vector match projectRef followed by mixKernel; name prefixes
+// its failure messages. It reports whether Score swept v directly
+// rather than through a cell list.
+func checkAgainstRef(t *testing.T, name string, e *Engine, s *Scorer, v []float64, family int) (direct bool) {
 	t.Helper()
 	want := make([]float64, e.lp)
 	e.projectRef(want, v)
@@ -98,13 +100,13 @@ func checkAgainstRef(t *testing.T, e *Engine, s *Scorer, v []float64, family int
 	same := func(route string, got float64, w []float64) {
 		t.Helper()
 		if !sameBits(got, wantScore) {
-			t.Fatalf("%s: score %v (bits %#x), reference %v (bits %#x)",
-				route, got, math.Float64bits(got), wantScore, math.Float64bits(wantScore))
+			t.Fatalf("%s %s: score %v (bits %#x), reference %v (bits %#x)",
+				name, route, got, math.Float64bits(got), wantScore, math.Float64bits(wantScore))
 		}
 		for j := range want {
 			if !sameBits(w[j], want[j]) {
-				t.Fatalf("%s: w[%d] = %v (bits %#x), reference %v (bits %#x)",
-					route, j, w[j], math.Float64bits(w[j]), want[j], math.Float64bits(want[j]))
+				t.Fatalf("%s %s: w[%d] = %v (bits %#x), reference %v (bits %#x)",
+					name, route, j, w[j], math.Float64bits(w[j]), want[j], math.Float64bits(want[j]))
 			}
 		}
 	}
@@ -162,7 +164,8 @@ func TestScoreMatchesReference(t *testing.T) {
 		routes := map[bool]int{}
 		for occ := 0; occ <= l; occ++ {
 			for family := 0; family < numFamilies; family++ {
-				routes[checkAgainstRef(t, e, s, occupancyVec(rng, l, occ, family), family)]++
+				name := fmt.Sprintf("L'=%d occupancy %d family %d", lp, occ, family)
+				routes[checkAgainstRef(t, name, e, s, occupancyVec(rng, l, occ, family), family)]++
 			}
 		}
 		if routes[false] == 0 || routes[true] == 0 {
@@ -185,6 +188,7 @@ func FuzzScoreMatchesReference(f *testing.F) {
 		occ, family := int(occ16)%(l+1), int(family8)%numFamilies
 		rng := rand.New(rand.NewSource(seed))
 		e := refEngine(l, lp, seed)
-		checkAgainstRef(t, e, e.NewScorer(), occupancyVec(rng, l, occ, family), family)
+		name := fmt.Sprintf("L=%d L'=%d occupancy %d family %d", l, lp, occ, family)
+		checkAgainstRef(t, name, e, e.NewScorer(), occupancyVec(rng, l, occ, family), family)
 	})
 }
