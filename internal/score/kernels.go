@@ -14,37 +14,29 @@ import (
 // cells[t], cells ascending. A nil cells list means vals is all of x,
 // swept directly.
 //
-// The panel rows go in groups of at most four, split evenly (L' = 9
-// sweeps three rows three times, not four, four and one), and each pass
-// keeps one accumulator chain per row: the sweep is bound by the add
-// latency of a chain, so a pass over several rows costs about what one
-// row costs. Each chain adds its row's products in ascending cell order,
-// so w[j] is bit-identical to the single-chain sweep of row j over all L
-// cells: by the argument at projectBatchInto, a skipped term is a ±0.0
-// product of a finite panel entry and was a no-op in that sweep.
+// The panel rows go three to a pass, and each pass keeps one
+// accumulator chain per row: the sweep is bound by the add latency of a
+// chain, so a pass over three rows costs about what one row costs. When
+// L' is not a multiple of three, the last pass sweeps row L'−1 again in
+// its spare slots and discards those sums. Each chain adds its row's
+// products in ascending cell order, so w[j] is bit-identical to the
+// single-chain sweep of row j over all L cells: by the argument at
+// projectBatchInto, a skipped term is a ±0.0 product of a finite panel
+// entry and was a no-op in that sweep.
 //
 //mhm:hotpath
 //mhm:deterministic
 func (e *Engine) project(w, vals []float64, cells []int32) {
 	l, lp := e.l, e.lp
-	passes := (lp + 3) / 4
-	for g := 0; g < passes; g++ {
-		j0, j1 := g*lp/passes, (g+1)*lp/passes
-		r0 := e.panel[j0*l : (j0+1)*l]
-		switch j1 - j0 {
-		case 1:
-			w[j0] = sweep1(vals, cells, r0) - e.meanOff[j0]
-		case 2:
-			s0, s1 := sweep2(vals, cells, r0, e.panel[(j0+1)*l:(j0+2)*l])
-			w[j0], w[j0+1] = s0-e.meanOff[j0], s1-e.meanOff[j0+1]
-		case 3:
-			s0, s1, s2 := sweep3(vals, cells, r0, e.panel[(j0+1)*l:(j0+2)*l], e.panel[(j0+2)*l:(j0+3)*l])
-			w[j0], w[j0+1], w[j0+2] = s0-e.meanOff[j0], s1-e.meanOff[j0+1], s2-e.meanOff[j0+2]
-		default:
-			s0, s1, s2, s3 := sweep4(vals, cells, r0, e.panel[(j0+1)*l:(j0+2)*l],
-				e.panel[(j0+2)*l:(j0+3)*l], e.panel[(j0+3)*l:(j0+4)*l])
-			w[j0], w[j0+1] = s0-e.meanOff[j0], s1-e.meanOff[j0+1]
-			w[j0+2], w[j0+3] = s2-e.meanOff[j0+2], s3-e.meanOff[j0+3]
+	for j := 0; j < lp; j += 3 {
+		j1, j2 := min(j+1, lp-1), min(j+2, lp-1)
+		s0, s1, s2 := sweep3(vals, cells, e.panel[j*l:(j+1)*l], e.panel[j1*l:(j1+1)*l], e.panel[j2*l:(j2+1)*l])
+		w[j] = s0 - e.meanOff[j]
+		if j+1 < lp {
+			w[j+1] = s1 - e.meanOff[j+1]
+		}
+		if j+2 < lp {
+			w[j+2] = s2 - e.meanOff[j+2]
 		}
 	}
 }
@@ -65,12 +57,13 @@ func (e *Engine) projectVec(w, v, vals []float64, cells []int32) {
 
 // occupied lists v's occupied cells — those whose bits are not ±0.0;
 // NaN, ±Inf and subnormals count — in ascending order into cells, with
-// their values in vals, and returns how many there are. A cell list
-// pays for itself only while at most about half the cells are
-// occupied, and on a full vector writing it would cost about as much as
-// sweeping v directly. So once more than half of the cells scanned so
-// far are occupied, beyond the first 64, the scan gives up and returns
-// −1, and v is swept directly.
+// their values in vals, and returns how many there are. Past some
+// occupancy the list costs more than sweeping v directly: at L = 1,472
+// the two routes cost the same near 25% occupancy for L' = 6 and near
+// 35–40% for L' = 9 (DESIGN.md §8, BenchmarkScoreOccupancy). So once
+// more than a third of the cells scanned so far are occupied, beyond
+// the first 64, the scan gives up and returns −1, and v is swept
+// directly.
 //
 // It is kept out of line: inlined into projectVec, the loop kept n on
 // the stack and ran about twice as slow.
@@ -82,7 +75,7 @@ func occupied(vals []float64, cells []int32, v []float64) int {
 	n := 0
 	for i, x := range v {
 		if math.Float64bits(x)<<1 != 0 {
-			if 2*n > i+64 {
+			if 3*n > i+64 {
 				return -1
 			}
 			vals[n] = x
@@ -93,49 +86,9 @@ func occupied(vals []float64, cells []int32, v []float64) int {
 	return n
 }
 
-// sweep1 is one chain of project: Σ_t row[cells[t]]·vals[t] in
-// ascending t, or Σ_i row[i]·vals[i] when cells is nil.
-//
-//mhm:hotpath
-//mhm:deterministic
-func sweep1(vals []float64, cells []int32, r0 []float64) (s0 float64) {
-	if cells == nil {
-		r0 = r0[:len(vals)]
-		for i, x := range vals {
-			s0 += r0[i] * x
-		}
-		return s0
-	}
-	vals = vals[:len(cells)]
-	for t, c := range cells {
-		s0 += r0[c] * vals[t]
-	}
-	return s0
-}
-
-// sweep2 is sweep1 for two rows in one pass, one chain per row.
-//
-//mhm:hotpath
-//mhm:deterministic
-func sweep2(vals []float64, cells []int32, r0, r1 []float64) (s0, s1 float64) {
-	if cells == nil {
-		r0, r1 = r0[:len(vals)], r1[:len(vals)]
-		for i, x := range vals {
-			s0 += r0[i] * x
-			s1 += r1[i] * x
-		}
-		return s0, s1
-	}
-	vals = vals[:len(cells)]
-	for t, c := range cells {
-		x := vals[t]
-		s0 += r0[c] * x
-		s1 += r1[c] * x
-	}
-	return s0, s1
-}
-
-// sweep3 is sweep1 for three rows in one pass, one chain per row.
+// sweep3 is one pass of project over three panel rows, one chain per
+// row: s_k = Σ_t r_k[cells[t]]·vals[t] in ascending t, or
+// Σ_i r_k[i]·vals[i] when cells is nil.
 //
 //mhm:hotpath
 //mhm:deterministic
@@ -157,32 +110,6 @@ func sweep3(vals []float64, cells []int32, r0, r1, r2 []float64) (s0, s1, s2 flo
 		s2 += r2[c] * x
 	}
 	return s0, s1, s2
-}
-
-// sweep4 is sweep1 for four rows in one pass, one chain per row.
-//
-//mhm:hotpath
-//mhm:deterministic
-func sweep4(vals []float64, cells []int32, r0, r1, r2, r3 []float64) (s0, s1, s2, s3 float64) {
-	if cells == nil {
-		r0, r1, r2, r3 = r0[:len(vals)], r1[:len(vals)], r2[:len(vals)], r3[:len(vals)]
-		for i, x := range vals {
-			s0 += r0[i] * x
-			s1 += r1[i] * x
-			s2 += r2[i] * x
-			s3 += r3[i] * x
-		}
-		return s0, s1, s2, s3
-	}
-	vals = vals[:len(cells)]
-	for t, c := range cells {
-		x := vals[t]
-		s0 += r0[c] * x
-		s1 += r1[c] * x
-		s2 += r2[c] * x
-		s3 += r3[c] * x
-	}
-	return s0, s1, s2, s3
 }
 
 // tileI is the i-dimension cache tile of the batch projection: 8 lanes

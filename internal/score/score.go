@@ -205,10 +205,9 @@ func (s *Scorer) ScoreBatch(dst []float64, vecs [][]float64) error {
 // starts[r]+lens[r]-1 and counts carries the cell counts in run
 // order (Σ lens[r] == len(counts)). Runs must be in ascending cell
 // order and non-overlapping, within [0, L). The runs expand into the
-// cell list Score's kernel sweeps (a single run over all of L is swept
-// directly), so the result is bit-identical to Score on the densified
-// vector — this is the scoring half of the fused zero-copy
-// ingest→snoop→score path. Zero allocations.
+// cell list Score's kernel sweeps, so the result is bit-identical to
+// Score on the densified vector — this is the scoring half of the
+// fused zero-copy ingest→snoop→score path. Zero allocations.
 //
 //mhm:deterministic
 func (s *Scorer) ScoreSparse(starts, lens []int32, counts []uint32) (float64, error) {
@@ -232,16 +231,12 @@ func (s *Scorer) ScoreSparse(starts, lens []int32, counts []uint32) (float64, er
 	for i, c := range counts {
 		vals[i] = float64(c)
 	}
-	if nnz == s.e.l {
-		s.e.project(s.w, vals, nil)
-	} else {
-		cells := s.cells[:0]
-		for r, st := range starts {
-			for c := st; c < st+lens[r]; c++ {
-				cells = append(cells, c)
-			}
+	cells := s.cells[:0]
+	for r, st := range starts {
+		for c := st; c < st+lens[r]; c++ {
+			cells = append(cells, c)
 		}
-		s.e.project(s.w, vals, cells)
 	}
+	s.e.project(s.w, vals, cells)
 	return s.e.mixKernel(s.w, s.y, s.terms), nil
 }

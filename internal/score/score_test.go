@@ -273,13 +273,33 @@ func TestZeroWeightComponents(t *testing.T) {
 	}
 }
 
-// BenchmarkScoreOccupancy times Score at L = 1,472 on a device-like
-// interval (46 occupied cells in short runs), at 25% occupancy and at
-// full occupancy, for L' = 6 and 9: the first two sweep the occupied
-// cell list, the last sweeps the vector directly.
+// BenchmarkScoreOccupancy times Score at L = 1,472 for L' = 6 and 9 on
+// a device-like interval (46 occupied cells in short runs), on vectors
+// with 10%, 25%, 30% and 50% of their cells occupied at random, and on a
+// full vector. Up to 30% Score sweeps the occupied-cell list, so those
+// rows show its cost climbing toward the direct sweep of the full row;
+// at 50% the scan gives up early and sweeps directly.
 func BenchmarkScoreOccupancy(b *testing.B) {
 	cases := occupancyCases()
-	full := randomVecs(1, occupancyL, 3)[0]
+	rng := rand.New(rand.NewSource(5))
+	occupiedAt := func(pct int) []float64 {
+		v := make([]float64, occupancyL)
+		for _, i := range rng.Perm(occupancyL)[:occupancyL*pct/100] {
+			v[i] = float64(1 + rng.Intn(5000))
+		}
+		return v
+	}
+	rows := []struct {
+		name string
+		vec  []float64
+	}{
+		{"device-46", cases[1].vec},
+		{"10pct", occupiedAt(10)},
+		{"25pct", cases[2].vec},
+		{"30pct", occupiedAt(30)},
+		{"50pct", occupiedAt(50)},
+		{"full", randomVecs(1, occupancyL, 3)[0]},
+	}
 	for _, lp := range []int{6, 9} {
 		p, g := synthModel(b, occupancyL, lp, 5, int64(lp))
 		eng, err := score.New(p, g)
@@ -287,10 +307,7 @@ func BenchmarkScoreOccupancy(b *testing.B) {
 			b.Fatal(err)
 		}
 		s := eng.NewScorer()
-		for _, c := range []struct {
-			name string
-			vec  []float64
-		}{{"device-46", cases[1].vec}, {"quarter", cases[2].vec}, {"full", full}} {
+		for _, c := range rows {
 			b.Run(fmt.Sprintf("Lp%d/%s", lp, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
