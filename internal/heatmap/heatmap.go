@@ -214,15 +214,12 @@ func PackVectors(maps []*HeatMap) ([][]float64, error) {
 		return nil, fmt.Errorf("heatmap: PackVectors: empty set: %w", ErrConfig)
 	}
 	def := maps[0].Def
-	l := len(maps[0].Counts)
+	l := def.Cells()
 	backing := make([]float64, len(maps)*l)
 	out := make([][]float64, len(maps))
 	for i, m := range maps {
-		if m.Def != def {
-			return nil, fmt.Errorf("heatmap: PackVectors: map %d definition differs: %w", i, ErrConfig)
-		}
-		if len(m.Counts) != l {
-			return nil, fmt.Errorf("heatmap: PackVectors: map %d has %d cells, map 0 has %d: %w",
+		if !m.Matches(def) {
+			return nil, fmt.Errorf("heatmap: PackVectors: map %d (%d counts) does not match map 0's %d-cell definition: %w",
 				i, len(m.Counts), l, ErrConfig)
 		}
 		v := backing[i*l : (i+1)*l : (i+1)*l]

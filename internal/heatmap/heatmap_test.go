@@ -273,8 +273,10 @@ func TestRender(t *testing.T) {
 	}
 }
 
-// TestPackVectorsRejectsMalformedCounts: a later map whose counts differ
-// in length from the first map's is ErrConfig, not a panic.
+// TestPackVectorsRejectsMalformedCounts: a map whose counts differ in
+// length from its definition's cell count is ErrConfig, not a panic,
+// wherever it sits in the set — also first, and also when every map in
+// the set agrees on the wrong length.
 func TestPackVectorsRejectsMalformedCounts(t *testing.T) {
 	d := Def{AddrBase: 0, Size: 64, Gran: 8}
 	a, _ := New(d)
@@ -285,5 +287,12 @@ func TestPackVectorsRejectsMalformedCounts(t *testing.T) {
 	long := &HeatMap{Def: d, Counts: make([]uint32, d.Cells()+1)}
 	if _, err := PackVectors([]*HeatMap{a, long}); !errors.Is(err, ErrConfig) {
 		t.Errorf("long second map: %v, want ErrConfig", err)
+	}
+	if _, err := PackVectors([]*HeatMap{short, a}); !errors.Is(err, ErrConfig) {
+		t.Errorf("short first map: %v, want ErrConfig", err)
+	}
+	short2 := &HeatMap{Def: d, Counts: make([]uint32, d.Cells()-1)}
+	if _, err := PackVectors([]*HeatMap{short, short2}); !errors.Is(err, ErrConfig) {
+		t.Errorf("every map short: %v, want ErrConfig", err)
 	}
 }
