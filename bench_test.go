@@ -262,6 +262,86 @@ func BenchmarkMemometerSnoop(b *testing.B) {
 	}
 }
 
+// Snoop-path fixture: a pre-decoded capture shaped like a device
+// interval — L = 1,472 cells at δ = 2 KB, 500 records per 10 ms
+// interval, all of them in the same 46 hot cells.
+const (
+	snoopIntervals   = 64
+	snoopPerInterval = 500
+	snoopHotCells    = 46
+	snoopBatch       = 256 // the serving paths' ReadBatch size
+)
+
+var (
+	snoopStreamOnce sync.Once
+	snoopStream     []trace.Access
+)
+
+func snoopFixture() []trace.Access {
+	snoopStreamOnce.Do(func() {
+		rng := rand.New(rand.NewSource(3))
+		hot := rng.Perm(1472)[:snoopHotCells]
+		for i := 0; i < snoopIntervals*snoopPerInterval; i++ {
+			cell := uint64(hot[rng.Intn(len(hot))])
+			snoopStream = append(snoopStream, trace.Access{
+				Time:  int64(i) * (fusedIntervalMicros / snoopPerInterval),
+				Addr:  kernelmap.TextBase + cell*2048 + uint64(rng.Intn(2048)),
+				Count: uint32(1 + rng.Intn(8)),
+			})
+		}
+	})
+	return snoopStream
+}
+
+// BenchmarkSnoopBatch times the ingest loop the serving paths run:
+// the snoop fixture fed through SnoopBatch in 256-record batches, each
+// completed interval collected by CollectSparse. ns/op is per interval
+// and ns/record per record. allocs/op must stay 0 (the CI allocation
+// gate): the per-pass device reconfiguration amortizes below one
+// allocation per interval.
+func BenchmarkSnoopBatch(b *testing.B) {
+	stream := snoopFixture()
+	cfg := memometer.Config{
+		Region:         heatmap.Def{AddrBase: kernelmap.TextBase, Size: kernelmap.TextSize, Gran: 2048},
+		IntervalMicros: fusedIntervalMicros,
+	}
+	dev := memometer.New()
+	var sp heatmap.Sparse
+	collect := func() {
+		if err := dev.CollectSparse(&sp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		// Reconfiguring rewinds the device clock for the next pass.
+		if err := dev.Configure(cfg); err != nil {
+			b.Fatal(err)
+		}
+		intervals := min(snoopIntervals, b.N-done)
+		pass := stream[:intervals*snoopPerInterval]
+		for lo := 0; lo < len(pass); lo += snoopBatch {
+			batch := pass[lo:min(lo+snoopBatch, len(pass))]
+			for off := 0; off < len(batch); {
+				k, err := dev.SnoopBatch(batch[off:])
+				if err != nil {
+					b.Fatal(err)
+				}
+				off += k
+				if dev.HasPending() {
+					collect()
+				}
+			}
+		}
+		if err := dev.Tick(int64(intervals) * fusedIntervalMicros); err != nil {
+			b.Fatal(err)
+		}
+		collect()
+		done += intervals
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snoopPerInterval), "ns/record")
+}
+
 // BenchmarkHeatMapRecord times the MHM cell update path.
 func BenchmarkHeatMapRecord(b *testing.B) {
 	m, err := heatmap.New(heatmap.Def{AddrBase: kernelmap.TextBase, Size: kernelmap.TextSize, Gran: 2048})

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
+	"github.com/memheatmap/mhm/internal/core"
 	"github.com/memheatmap/mhm/internal/heatmap"
 	"github.com/memheatmap/mhm/internal/pca"
 	"github.com/memheatmap/mhm/internal/rtos"
@@ -19,8 +21,9 @@ type AnalysisTimeRow struct {
 	L, LPrime, J int
 	// Gran is the MHM granularity producing L.
 	Gran uint64
-	// MeanMicros is the measured mean per-MHM classification time over
-	// Samples classifications.
+	// MeanMicros is the per-MHM classification time of the median
+	// round: each of analysisRounds rounds times Samples
+	// classifications.
 	MeanMicros float64
 	Samples    int
 	// PaperMicros is what the paper measured on its secure core, for
@@ -63,15 +66,23 @@ var analysisConfigs = []struct {
 	{2048, 5, 216},
 }
 
-// AnalysisTime measures mean classification latency for the paper's
-// three configurations. Each configuration trains a detector at the
-// lab's scale (fixing L' explicitly) and times samples classifications
-// of fresh normal MHMs.
+// analysisRounds is how many timed rounds AnalysisTime runs per
+// configuration; reporting the median round keeps a stray stall or a
+// cold cache from deciding a row.
+const analysisRounds = 5
+
+// AnalysisTime measures classification latency for the paper's three
+// configurations. It trains a detector per configuration at the lab's
+// scale (fixing L' explicitly) first, then runs analysisRounds
+// interleaved rounds, each timing samples classifications of fresh
+// normal MHMs per configuration in an order that rotates every round,
+// and reports each configuration's median round.
 func (l *Lab) AnalysisTime(seedBase int64, samples int) (*AnalysisTimeResult, error) {
 	if samples <= 0 {
 		samples = 1000
 	}
-	res := &AnalysisTimeResult{}
+	dets := make([]*core.Detector, len(analysisConfigs))
+	vecs := make([][][]float64, len(analysisConfigs))
 	for i, cfg := range analysisConfigs {
 		lab := &Lab{Img: l.Img, Scale: l.Scale}
 		lab.Scale.Gran = cfg.gran
@@ -92,24 +103,36 @@ func (l *Lab) AnalysisTime(seedBase int64, samples int) (*AnalysisTimeResult, er
 		if err != nil {
 			return nil, err
 		}
-		// Warm up, then measure.
+		// Warm up.
 		if _, err := det.LogDensityVector(vectors[0]); err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		for s := 0; s < samples; s++ {
-			if _, err := det.LogDensityVector(vectors[s%len(vectors)]); err != nil {
-				return nil, err
+		dets[i], vecs[i] = det, vectors
+	}
+	rounds := make([][]float64, len(analysisConfigs))
+	for r := 0; r < analysisRounds; r++ {
+		for k := range analysisConfigs {
+			i := (r + k) % len(analysisConfigs)
+			start := time.Now()
+			for s := 0; s < samples; s++ {
+				if _, err := dets[i].LogDensityVector(vecs[i][s%len(vecs[i])]); err != nil {
+					return nil, err
+				}
 			}
+			elapsed := time.Since(start)
+			rounds[i] = append(rounds[i], float64(elapsed.Nanoseconds())/1e3/float64(samples))
 		}
-		elapsed := time.Since(start)
-		cells, lprime := det.Dim()
+	}
+	res := &AnalysisTimeResult{}
+	for i, cfg := range analysisConfigs {
+		cells, lprime := dets[i].Dim()
+		slices.Sort(rounds[i])
 		res.Rows = append(res.Rows, AnalysisTimeRow{
 			L:           cells,
 			LPrime:      lprime,
-			J:           len(det.GMM.Components),
+			J:           len(dets[i].GMM.Components),
 			Gran:        cfg.gran,
-			MeanMicros:  float64(elapsed.Microseconds()) / float64(samples),
+			MeanMicros:  rounds[i][analysisRounds/2],
 			Samples:     samples,
 			PaperMicros: cfg.paperMicros,
 		})

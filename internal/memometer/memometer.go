@@ -9,6 +9,7 @@ package memometer
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/memheatmap/mhm/internal/heatmap"
 	"github.com/memheatmap/mhm/internal/obs"
@@ -162,6 +163,10 @@ func (d *Device) Stats() Stats { return d.stats }
 // (analysis overran the interval), the older MHM is dropped and counted
 // as an overrun, as real fixed-size hardware would.
 //
+// The spare memory is all zero by invariant — Configure allocates it,
+// and Collect, CollectSparse and the overrun path clear a memory before
+// it becomes the spare — so the swap records into it as it is.
+//
 //mhm:hotpath
 func (d *Device) advanceTo(t int64) {
 	for t-d.started >= d.cfg.IntervalMicros {
@@ -178,7 +183,6 @@ func (d *Device) advanceTo(t int64) {
 			d.shadow = d.pending
 		}
 		d.pending = d.active
-		d.shadow.Reset()
 		d.active = d.shadow
 		d.shadow = nil // exactly one of shadow/pending holds the spare
 		d.started = boundary
@@ -249,18 +253,62 @@ func (d *Device) SnoopBurst(t int64, addr uint64, count uint32) error {
 // per-event feeding. It returns the number of events consumed; on error
 // the failing event is not counted.
 //
+// The result is that of feeding each event to SnoopBurst in turn, which
+// stays the per-event reference (FuzzSnoopBatchMatchesPerEvent). The
+// events that stay inside the active interval take a loop over locals,
+// with the counters written back once; the event that ends that run
+// (one that goes back in time or closes the interval), and the first
+// event while an MHM is still pending, go through SnoopBurst.
+//
 //mhm:hotpath
 func (d *Device) SnoopBatch(events []trace.Access) (int, error) {
-	for i := range events {
-		a := &events[i]
-		if err := d.SnoopBurst(a.Time, a.Addr, a.Count); err != nil {
-			return i, err
+	n := 0
+	if d.configured && d.pending == nil {
+		base, size := d.cfg.Region.AddrBase, d.cfg.Region.Size
+		shift := d.cfg.Region.ShiftBits()
+		counts := d.active.Counts
+		started, iv, last := d.started, d.cfg.IntervalMicros, d.lastTime
+		var accepted, accesses uint64
+		for ; n < len(events); n++ {
+			a := &events[n]
+			// last ≥ started, so once t ≥ last the difference cannot
+			// overflow and the test is advanceTo's own.
+			if a.Time < last || a.Time-started >= iv {
+				break
+			}
+			last = a.Time
+			// addr < base wraps to an offset the size test rejects.
+			off := a.Addr - base
+			if off >= size || a.Count == 0 {
+				continue
+			}
+			p := &counts[off>>shift]
+			if c := *p + a.Count; c >= *p {
+				*p = c
+			} else {
+				*p = math.MaxUint32 // saturate, as HeatMap.Record does
+			}
+			accepted++
+			accesses += uint64(a.Count)
 		}
-		if d.pending != nil {
-			return i + 1, nil
-		}
+		d.lastTime = last
+		d.stats.Snooped += uint64(n)
+		d.stats.Accepted += accepted
+		d.stats.AcceptedAccesses += accesses
+		d.met.snooped.Add(uint64(n))
+		d.met.accepted.Add(accepted)
+		d.met.acceptedAccesses.Add(accesses)
 	}
-	return len(events), nil
+	if n == len(events) {
+		return n, nil
+	}
+	// events[n] fails, or it leaves an MHM pending: either way the batch
+	// stops after it.
+	a := &events[n]
+	if err := d.SnoopBurst(a.Time, a.Addr, a.Count); err != nil {
+		return n, err
+	}
+	return n + 1, nil
 }
 
 // HasPending reports whether a completed MHM awaits collection.

@@ -88,6 +88,18 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(valid[:len(valid)-1])
 	f.Add(valid[:len(valid)-7]) // torn tail mid-record for the batch path
 	f.Add([]byte("MHMT"))       // wrong byte order for the magic
+	// A capture longer than the reader's 4 KiB buffer, so a 256-record
+	// ReadBatch (5,120 B, the serving paths' batch) spans a refill, once
+	// intact and once torn mid-record.
+	var lb bytes.Buffer
+	lw := NewWriter(&lb)
+	for i := int64(0); i < 600; i++ {
+		_ = lw.Write(Access{Time: i * 19, Addr: 0xC0008000 + uint64(i*97)%65536, Count: uint32(1 + i%7)})
+	}
+	_ = lw.Flush()
+	long := lb.Bytes()
+	f.Add(long)
+	f.Add(long[:len(long)-11])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
@@ -111,7 +123,7 @@ func FuzzTraceReader(f *testing.F) {
 		// Cross-check: the batched path must decode the identical event
 		// sequence and end in the same terminal class as record-at-a-time
 		// reads, for every batch size.
-		for _, batch := range []int{1, 3, 64} {
+		for _, batch := range []int{1, 3, 64, 256} {
 			br := NewReader(bytes.NewReader(data))
 			dst := make([]Access, batch)
 			var got []Access
