@@ -262,9 +262,10 @@ func BenchmarkMemometerSnoop(b *testing.B) {
 	}
 }
 
-// Snoop-path fixture: a pre-decoded capture shaped like a device
-// interval — L = 1,472 cells at δ = 2 KB, 500 records per 10 ms
-// interval, all of them in the same 46 hot cells.
+// Device-shaped captures: L = 1,472 cells at δ = 2 KB, 500 records
+// per 10 ms interval, all of them in the same 46 hot cells — the shape
+// of a device capture (about 517 records and 46 occupied cells per
+// interval).
 const (
 	snoopIntervals   = 64
 	snoopPerInterval = 500
@@ -277,19 +278,26 @@ var (
 	snoopStream     []trace.Access
 )
 
+// deviceAccesses draws a device-shaped capture of the given number of
+// intervals from seed.
+func deviceAccesses(seed int64, intervals int) []trace.Access {
+	rng := rand.New(rand.NewSource(seed))
+	hot := rng.Perm(1472)[:snoopHotCells]
+	out := make([]trace.Access, 0, intervals*snoopPerInterval)
+	for i := 0; i < intervals*snoopPerInterval; i++ {
+		cell := uint64(hot[rng.Intn(len(hot))])
+		out = append(out, trace.Access{
+			Time:  int64(i) * (fusedIntervalMicros / snoopPerInterval),
+			Addr:  kernelmap.TextBase + cell*2048 + uint64(rng.Intn(2048)),
+			Count: uint32(1 + rng.Intn(8)),
+		})
+	}
+	return out
+}
+
+// snoopFixture is the pre-decoded capture of the snoop-path benchmark.
 func snoopFixture() []trace.Access {
-	snoopStreamOnce.Do(func() {
-		rng := rand.New(rand.NewSource(3))
-		hot := rng.Perm(1472)[:snoopHotCells]
-		for i := 0; i < snoopIntervals*snoopPerInterval; i++ {
-			cell := uint64(hot[rng.Intn(len(hot))])
-			snoopStream = append(snoopStream, trace.Access{
-				Time:  int64(i) * (fusedIntervalMicros / snoopPerInterval),
-				Addr:  kernelmap.TextBase + cell*2048 + uint64(rng.Intn(2048)),
-				Count: uint32(1 + rng.Intn(8)),
-			})
-		}
-	})
+	snoopStreamOnce.Do(func() { snoopStream = deviceAccesses(3, snoopIntervals) })
 	return snoopStream
 }
 
@@ -605,8 +613,8 @@ func BenchmarkScoreSparse(b *testing.B) {
 	}
 }
 
-// Fused-path fixture: one serialized capture spanning fusedIntervals
-// 10 ms intervals of kernel-text activity at 200 events per interval.
+// Fused-path fixture: one device-shaped capture of fusedIntervals
+// 10 ms intervals, serialized.
 const fusedIntervalMicros = 10_000
 
 var (
@@ -618,17 +626,11 @@ var (
 func fusedTraceFixture(b *testing.B) {
 	b.Helper()
 	fusedTraceOnce.Do(func() {
+		const intervals = 512
 		var buf bytes.Buffer
 		w := trace.NewWriter(&buf)
-		rng := rand.New(rand.NewSource(7))
-		const perInterval = 200
-		const intervals = 512
-		for i := 0; i < intervals*perInterval; i++ {
-			_ = w.Write(trace.Access{
-				Time:  int64(i) * (fusedIntervalMicros / perInterval),
-				Addr:  kernelmap.TextBase + uint64(rng.Intn(1<<21)),
-				Count: uint32(1 + rng.Intn(8)),
-			})
+		for _, a := range deviceAccesses(7, intervals) {
+			_ = w.Write(a)
 		}
 		_ = w.Flush()
 		fusedTrace = buf.Bytes()

@@ -463,7 +463,7 @@ func iterate(op SymOp, q [][]float64, k int, opts TopKOptions, support []int, n 
 // this keeps subspace iteration full-rank when the operator has low
 // numerical rank. Without it a collapse returns errRestricted.
 func orthonormalizeRows(q [][]float64, replace bool) error {
-	rng := rand.New(rand.NewSource(42))
+	var rng *rand.Rand // seeded at the first collapse: most calls never draw
 	for i, ri := range q {
 		for attempt := 0; ; attempt++ {
 			for _, rj := range q[:i] {
@@ -477,6 +477,9 @@ func orthonormalizeRows(q [][]float64, replace bool) error {
 			}
 			if attempt >= 5 {
 				return fmt.Errorf("mat: orthonormalizeRows: row %d keeps collapsing: %w", i, ErrSingular)
+			}
+			if rng == nil {
+				rng = rand.New(rand.NewSource(42))
 			}
 			for k := range ri {
 				ri[k] = rng.NormFloat64()

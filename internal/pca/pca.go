@@ -84,6 +84,7 @@ type Model struct {
 	prepOnce sync.Once
 	compT    *mat.Matrix // L' x L
 	meanOff  []float64   // length L': u_jᵀ Ψ
+	finite   bool        // every basis entry is finite: ±0 cells may be skipped
 }
 
 // prepare builds the projection cache.
@@ -92,6 +93,12 @@ func (m *Model) prepare() {
 		m.compT = m.Components.T()
 		m.meanOff = make([]float64, m.compT.Rows())
 		_ = m.compT.MulVecInto(m.meanOff, m.Mean)
+		m.finite = true
+		for j := 0; j < m.compT.Rows(); j++ {
+			for _, x := range m.compT.Row(j) {
+				m.finite = m.finite && mat.IsFinite(x)
+			}
+		}
 	})
 }
 
@@ -219,8 +226,55 @@ func (m *Model) Project(v []float64) ([]float64, error) {
 // after the projection cache is built on first use. Safe for concurrent
 // use with distinct dst slices.
 //
+// It lists v's occupied cells and sweeps only those (projectCells), or
+// sweeps every cell once v is more than a third occupied, the give-up
+// rule of the scoring engine's list (DESIGN.md §8). Either way each
+// entry is bit-identical to its own mat.Dot over all L cells.
+//
 //mhm:deterministic
 func (m *Model) ProjectInto(dst, v []float64) error {
+	if err := m.checkProject(dst, v); err != nil {
+		return err
+	}
+	if m.finite {
+		var buf [listCap]int32
+		if n := occupied(buf[:], v); n >= 0 {
+			m.projectCells(dst, v, buf[:n])
+			return nil
+		}
+	}
+	m.projectDense(dst, v)
+	return nil
+}
+
+// ProjectCellsInto is ProjectInto for a vector whose occupied cells the
+// caller already holds: cells must list, ascending, every cell where v
+// is not ±0 (listing a zero cell as well is harmless). The sweep then
+// costs O(len(cells)·L') instead of a scan of all L cells. The result
+// is bit-identical to ProjectInto.
+//
+//mhm:deterministic
+func (m *Model) ProjectCellsInto(dst, v []float64, cells []int32) error {
+	if err := m.checkProject(dst, v); err != nil {
+		return err
+	}
+	prev := int32(-1)
+	for _, c := range cells {
+		if c <= prev || int(c) >= len(v) {
+			return fmt.Errorf("pca: ProjectCellsInto: cell %d after %d not ascending in [0, %d): %w", c, prev, len(v), ErrTraining)
+		}
+		prev = c
+	}
+	if m.finite {
+		m.projectCells(dst, v, cells)
+	} else {
+		m.projectDense(dst, v)
+	}
+	return nil
+}
+
+// checkProject validates the projection shapes and builds the cache.
+func (m *Model) checkProject(dst, v []float64) error {
 	l, lp := m.Dim()
 	if len(v) != l {
 		return fmt.Errorf("pca: Project: length %d, want %d: %w", len(v), l, ErrTraining)
@@ -229,13 +283,93 @@ func (m *Model) ProjectInto(dst, v []float64) error {
 		return fmt.Errorf("pca: Project: dst length %d, want %d: %w", len(dst), lp, ErrTraining)
 	}
 	m.prepare()
-	// uᵀM four basis rows at a time (mat.Dot4 inside MulVecInto), each
-	// entry bit-identical to its own mat.Dot; the lengths are checked.
+	return nil
+}
+
+// projectDense computes uᵀv − uᵀΨ over all L cells: four basis rows at
+// a time (mat.Dot4 inside MulVecInto), each entry bit-identical to its
+// own mat.Dot; the caller has checked the lengths.
+//
+//mhm:deterministic
+func (m *Model) projectDense(dst, v []float64) {
 	_ = m.compT.MulVecInto(dst, v)
 	for j := range dst {
 		dst[j] -= m.meanOff[j]
 	}
-	return nil
+}
+
+// projectCells computes uᵀv − uᵀΨ over the listed cells of v, which
+// hold every cell where v is not ±0, ascending. The basis rows go
+// three to a pass, one accumulator chain per row, so a pass costs about
+// what one row costs; when L' is not a multiple of three the last pass
+// sweeps row L'−1 again in its spare slots and discards those sums.
+// Each chain adds its row's products in ascending cell order, so dst[j]
+// is bit-identical to mat.Dot of row j over all L cells: a skipped
+// term is a ±0 cell times a finite basis entry, which is ±0, and adding
+// ±0 to an accumulator that starts at +0 changes nothing (DESIGN.md
+// §8). That needs a finite basis — a skipped 0·∞ would have been NaN —
+// so the callers sweep a basis with a NaN or ±Inf entry densely.
+//
+//mhm:hotpath
+//mhm:deterministic
+func (m *Model) projectCells(dst, v []float64, cells []int32) {
+	lp := len(dst)
+	for j := 0; j < lp; j += 3 {
+		j1, j2 := min(j+1, lp-1), min(j+2, lp-1)
+		s0, s1, s2 := sweep3(v, cells, m.compT.Row(j), m.compT.Row(j1), m.compT.Row(j2))
+		dst[j] = s0 - m.meanOff[j]
+		if j+1 < lp {
+			dst[j+1] = s1 - m.meanOff[j+1]
+		}
+		if j+2 < lp {
+			dst[j+2] = s2 - m.meanOff[j+2]
+		}
+	}
+}
+
+// sweep3 is one pass of projectCells over three basis rows, one chain
+// per row: s_k = Σ_t r_k[c_t]·v[c_t] over the listed cells c_t in
+// ascending order.
+//
+//mhm:hotpath
+//mhm:deterministic
+func sweep3(v []float64, cells []int32, r0, r1, r2 []float64) (s0, s1, s2 float64) {
+	for _, c := range cells {
+		x := v[c]
+		s0 += x * r0[c]
+		s1 += x * r1[c]
+		s2 += x * r2[c]
+	}
+	return s0, s1, s2
+}
+
+// listCap bounds ProjectInto's stack list of occupied cells. The
+// give-up rule stops a list near a third of the cells, so at
+// L = 1,472 a list never outgrows it; a longer vector that fills it
+// is swept densely.
+const listCap = 512
+
+// occupied lists v's occupied cells — those that are not ±0; NaN, ±Inf
+// and subnormals count — in ascending order into cells and returns how
+// many there are. Once more than a third of the cells scanned so far
+// are occupied, beyond the first 64, or the list is full, it gives up
+// and returns −1: past that occupancy the dense sweep is cheaper.
+//
+//mhm:hotpath
+//mhm:deterministic
+func occupied(cells []int32, v []float64) int {
+	n := 0
+	for i, x := range v {
+		if mat.IsZero(x) {
+			continue
+		}
+		if 3*n > i+64 || n == len(cells) {
+			return -1
+		}
+		cells[n] = int32(i)
+		n++
+	}
+	return n
 }
 
 // ProjectAll transforms a whole set.

@@ -59,3 +59,59 @@ func BenchmarkFullRetrain(b *testing.B) {
 		}
 	}
 }
+
+// deviceBenchRefresher returns a refresher in the shape refresh-mixed
+// serves — window 192, holdout 64, Workers: 2 — warm-started from the
+// device detector and filled with 300 device intervals (L = 1,472,
+// about 46 occupied cells each from device_test.go's 60-cell support),
+// plus 64 more device intervals and their densities to observe.
+func deviceBenchRefresher(b *testing.B) (*Refresher, [][]float64, []float64) {
+	det := deviceDetector(b)
+	r := newRefresher(b, det, Config{Window: 192, Holdout: 64, Workers: 2})
+	feedDevice(b, r, det, 0, 300)
+	vs := make([][]float64, 64)
+	ds := make([]float64, len(vs))
+	for i := range vs {
+		vs[i] = make([]float64, deviceRegion.Cells())
+		deviceVectorInto(vs[i], 300+i)
+		d, err := det.LogDensityVector(vs[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds[i] = d
+	}
+	return r, vs, ds
+}
+
+// BenchmarkDeviceObserve times Observe on device-shaped intervals at
+// the worker count the serving loop uses: every fourth interval goes
+// to the holdout ring, the rest evict and insert in the full training
+// window. allocs/op must be 0 (the CI allocation gate).
+func BenchmarkDeviceObserve(b *testing.B) {
+	r, vs, ds := deviceBenchRefresher(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.Observe(vs[i%len(vs)], ds[i%len(ds)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeviceRefreshIncremental times one incremental refresh
+// (warm eigen on the support, the window projection, warm EM and θ
+// recalibration) over a full device-shaped window.
+func BenchmarkDeviceRefreshIncremental(b *testing.B) {
+	r, _, _ := deviceBenchRefresher(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := r.Refresh()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.FullRebuild {
+			b.Fatal("refresh took the full path")
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"github.com/memheatmap/mhm/internal/core"
 	"github.com/memheatmap/mhm/internal/gmm"
 	"github.com/memheatmap/mhm/internal/heatmap"
+	"github.com/memheatmap/mhm/internal/mat"
 	"github.com/memheatmap/mhm/internal/pca"
 )
 
@@ -209,6 +210,63 @@ func TestRefreshAdversarialWindows(t *testing.T) {
 					t.Errorf("%s workers=%d step %d: %s, golden %s", c.name, workers, step, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestObserveNegativeZeroKeepsModel feeds two refreshers the same
+// device intervals, one with every empty cell written as −0. The sketch
+// stores a −0 entry as +0, so its samples read back differently, but
+// every refreshed model — the warm path and the full rebuild — must
+// keep the bits the +0 intervals give.
+func TestObserveNegativeZeroKeepsModel(t *testing.T) {
+	det := deviceDetector(t)
+	negZero := math.Copysign(0, -1)
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Window: 192, Holdout: 64, RebuildEvery: 1, DriftThreshold: 1e12, Workers: workers}
+		plain, signed := newRefresher(t, det, cfg), newRefresher(t, det, cfg)
+		v := make([]float64, deviceRegion.Cells())
+		for i := 0; i < 256; i++ {
+			deviceVectorInto(v, i)
+			observeAll(t, plain, det, v)
+			for c, x := range v {
+				if mat.IsZero(x) {
+					v[c] = negZero
+				}
+			}
+			observeAll(t, signed, det, v)
+		}
+		for step := 0; step < 2; step++ {
+			want := refreshOutcome(plain.Refresh())
+			if got := refreshOutcome(signed.Refresh()); got != want {
+				t.Errorf("workers=%d step %d: −0 intervals refresh to %s, +0 intervals to %s", workers, step, got, want)
+			}
+		}
+	}
+}
+
+// TestDeviceObserveAllocationFree pins Observe at 0 allocs/op on
+// device-shaped intervals at one and two workers, on both the holdout
+// and the sketch route.
+func TestDeviceObserveAllocationFree(t *testing.T) {
+	det := deviceDetector(t)
+	vs := make([][]float64, 16)
+	for i := range vs {
+		vs[i] = make([]float64, deviceRegion.Cells())
+		deviceVectorInto(vs[i], 300+i)
+	}
+	for _, workers := range []int{1, 2} {
+		r := newRefresher(t, det, Config{Window: 192, Holdout: 64, Workers: workers})
+		feedDevice(t, r, det, 0, 300)
+		i := 0
+		allocs := testing.AllocsPerRun(64, func() {
+			i++
+			if err := r.Observe(vs[i%len(vs)], 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("workers=%d: Observe allocated %.1f/op, want 0", workers, allocs)
 		}
 	}
 }

@@ -1,14 +1,14 @@
 // The incremental form of the eigenmemory covariance build: a sliding
 // window of raw interval vectors whose mean, per-tile sum-of-squares
 // and implicit covariance operator are maintained by mini-batch updates
-// instead of being rebuilt from scratch. An Update folds the entering
-// samples into (and the evicted samples out of) per-dimension running
-// sums over the same fixed dimension tiles as BuildCentered, so the
-// steady-state cost of absorbing a batch is O(b·L) with zero
-// allocations — against O(W·L) plus an L×W materialization for a full
-// rebuild. The covariance is never materialized: subspace iteration
-// applies it as C·v = (1/n)·Σ_s x_s (x_s·v) − μ (μ·v), the eigenfaces
-// Gram trick rearranged for a ring of raw rows.
+// instead of being rebuilt from scratch. Each ring slot also keeps the
+// ascending list of its sample's nonzero cells, and each cell the
+// number of held samples that touch it, so an Update pays only for the
+// cells the evicted and the entering samples occupy: a device interval
+// touches about 46 of L = 1,472 cells. The covariance is never
+// materialized: subspace iteration applies it as
+// C·v = (1/n)·Σ_s x_s (x_s·v) − μ (μ·v), the eigenfaces Gram trick
+// rearranged for a ring of raw rows.
 package train
 
 import (
@@ -19,16 +19,23 @@ import (
 
 // Centered is the sliding-window centered covariance sketch behind the
 // incremental model refresh. All storage is preallocated by
-// NewCentered; Update is allocation-free in steady state. The held
-// samples always occupy ring slots [0, Len()); slot order is the
-// deterministic function of the push history (round-robin overwrite),
-// not recency order.
+// NewCentered; Update is allocation-free. The held samples always
+// occupy ring slots [0, Len()); slot order is the deterministic
+// function of the push history (round-robin overwrite), not recency
+// order.
 //
 // Determinism contract: for a fixed push history, every field — mean,
 // sums, total variance, operator results — is bit-identical for every
-// worker count. Each dimension tile owns a disjoint band of the mean,
-// the sums and the ring rows, and folds batch samples in ascending
-// batch index; cross-tile reductions fold in ascending tile index.
+// worker count, and to the dense per-tile update that scans every cell
+// of every sample. Update runs serially and adds each cell's terms, and
+// each dimension tile's second-moment terms, in the dense update's
+// order; the terms it leaves out are those of cells a sample does not
+// touch, which add ±0 to a sum that is never −0 and so change no bit.
+// Rebuild splits the cells into the dimension tiles of BuildCentered,
+// and cross-tile reductions fold in ascending tile index.
+//
+// A −0 entry of an entering sample is stored as +0: Sample reads it
+// back as +0, and every sum and operator result keeps its bits.
 //
 // The incremental sums accumulate rounding drift relative to a from-
 // scratch pass over the same window. Rebuild recomputes them exactly
@@ -42,19 +49,20 @@ type Centered struct {
 	head int // ring slot the next pushed sample lands in
 
 	x     []float64 // window×l ring of raw samples, row-major by slot
+	cells []int32   // window×l: slot s lists its nonzero cells, ascending, in cells[s*l : s*l+nnz[s]]
+	nnz   []int     // per-slot list lengths
+	count []int32   // per-cell number of held samples nonzero there
 	sum   []float64 // per-dimension Σ x_s[i] over held samples
-	mean  []float64 // sum / n, refreshed by the owning tile each Update
+	mean  []float64 // sum / n
 	sumSq []float64 // per-tile Σ_s Σ_{i∈tile} x_s[i]² partials
 
-	batch  [][]float64           // in-flight Update batch, read by the tile kernels
-	uChunk func(idx, worker int) // prebuilt Update dispatch (alloc-free steady state)
 	rChunk func(idx, worker int) // prebuilt Rebuild dispatch
 }
 
 // NewCentered returns an empty sketch over l-dimensional samples with
-// the given window capacity. workers bounds the goroutines used inside
-// Update/Rebuild/Apply dispatch; values below 1 mean serial, and
-// results are bit-identical for every value.
+// the given window capacity. workers bounds the goroutines Rebuild
+// uses; values below 1 mean serial, and results are bit-identical for
+// every value. Update runs serially at every worker count.
 func NewCentered(l, window, workers int) (*Centered, error) {
 	if l <= 0 || window <= 0 {
 		return nil, fmt.Errorf("train: NewCentered: l=%d window=%d", l, window)
@@ -65,17 +73,12 @@ func NewCentered(l, window, workers int) (*Centered, error) {
 	c := &Centered{
 		l: l, window: window, workers: workers,
 		x:     make([]float64, window*l),
+		cells: make([]int32, window*l),
+		nnz:   make([]int, window),
+		count: make([]int32, l),
 		sum:   make([]float64, l),
 		mean:  make([]float64, l),
 		sumSq: make([]float64, chunkCount(l, dimTile)),
-	}
-	c.uChunk = func(idx, _ int) {
-		lo := idx * dimTile
-		hi := lo + dimTile
-		if hi > c.l {
-			hi = c.l
-		}
-		c.updateTile(lo, hi, idx)
 	}
 	c.rChunk = func(idx, _ int) {
 		lo := idx * dimTile
@@ -103,9 +106,17 @@ func (c *Centered) Mean() []float64 { return c.mean }
 // Only valid until an Update overwrites the slot.
 func (c *Centered) Sample(s int) []float64 { return c.x[s*c.l : (s+1)*c.l] }
 
+// Cells returns the cells where held sample s (0 ≤ s < Len) is not
+// ±0, ascending, as a view into the sketch. Only valid until an Update
+// overwrites the slot.
+func (c *Centered) Cells(s int) []int32 { return c.cells[s*c.l : s*c.l+c.nnz[s]] }
+
 // Update folds a batch of samples into the window, evicting the oldest
-// entries once the ring is full. Steady state allocates nothing; the
-// cost is O(len(batch)·L) regardless of the window size.
+// entries once the ring is full. It allocates nothing. Each sample costs
+// one scan of its L cells for the nonzero ones plus O(nnz) work on the
+// cells the evicted and the entering samples occupy; while the window
+// fills, every mean's divisor changes, so all L means are re-derived
+// once per call.
 //
 //mhm:deterministic
 func (c *Centered) Update(batch [][]float64) error {
@@ -117,51 +128,100 @@ func (c *Centered) Update(batch [][]float64) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	c.batch = batch
-	chunksWorker(chunkCount(c.l, dimTile), c.workers, c.uChunk)
-	c.batch = nil
+	// A full window keeps its divisor, so only the means of the cells a
+	// sample leaves or enters change.
+	full := c.n == c.window
+	for b, v := range batch {
+		slot := (c.head + b) % c.window
+		if c.n+b >= c.window { // slot holds a live sample: evict it
+			c.evict(slot, full)
+		}
+		c.insert(slot, v, full)
+	}
 	c.n += len(batch)
 	if c.n > c.window {
 		c.n = c.window
 	}
 	c.head = (c.head + len(batch)) % c.window
+	if !full {
+		inv := float64(c.n)
+		for i, s := range c.sum {
+			c.mean[i] = s / inv
+		}
+	}
 	return nil
 }
 
-// updateTile folds the in-flight batch into dimension band [lo, hi):
-// per batch sample in ascending index, the evicted slot's contribution
-// leaves the running sums before the entering sample's arrives, then
-// the band's mean is re-derived with the same division as buildTile.
+// evict takes the sample in slot out of the running sums, clears its
+// ring row and empties its cell list. The listed cells are ascending,
+// so the per-tile second-moment partial is carried in a register across
+// a tile's cells and stored when the tile changes. With full set, each
+// touched cell's mean is re-derived over the full window.
 //
 //mhm:hotpath
-func (c *Centered) updateTile(lo, hi, idx int) {
-	sq := c.sumSq[idx]
-	for b, v := range c.batch {
-		slot := (c.head + b) % c.window
-		row := c.x[slot*c.l : (slot+1)*c.l]
-		if c.n+b >= c.window { // slot holds a live sample: evict it
-			for i := lo; i < hi; i++ {
-				old := row[i]
-				c.sum[i] -= old
-				sq -= old * old
+//mhm:deterministic
+func (c *Centered) evict(slot int, full bool) {
+	row := c.x[slot*c.l : (slot+1)*c.l]
+	inv := float64(c.window)
+	tile, sq := -1, 0.0
+	for _, i := range c.cells[slot*c.l : slot*c.l+c.nnz[slot]] {
+		if t := int(i) / dimTile; t != tile {
+			if tile >= 0 {
+				c.sumSq[tile] = sq
 			}
+			tile, sq = t, c.sumSq[t]
 		}
-		for i := lo; i < hi; i++ {
-			xv := v[i]
-			row[i] = xv
-			c.sum[i] += xv
-			sq += xv * xv
+		old := row[i]
+		row[i] = 0
+		c.count[i]--
+		c.sum[i] -= old
+		sq -= old * old
+		if full {
+			c.mean[i] = c.sum[i] / inv
 		}
 	}
-	c.sumSq[idx] = sq
-	nn := c.n + len(c.batch)
-	if nn > c.window {
-		nn = c.window
+	if tile >= 0 {
+		c.sumSq[tile] = sq
 	}
-	inv := float64(nn)
-	for i := lo; i < hi; i++ {
-		c.mean[i] = c.sum[i] / inv
+	c.nnz[slot] = 0
+}
+
+// insert writes v's nonzero cells into the cleared ring row of slot,
+// lists them and adds them to the running sums, in ascending cell
+// order; with full set, each touched cell's mean is re-derived over the
+// full window.
+//
+//mhm:hotpath
+//mhm:deterministic
+func (c *Centered) insert(slot int, v []float64, full bool) {
+	row := c.x[slot*c.l : (slot+1)*c.l]
+	list := c.cells[slot*c.l : (slot+1)*c.l]
+	inv := float64(c.window)
+	n, tile, sq := 0, -1, 0.0
+	for i, xv := range v {
+		if mat.IsZero(xv) {
+			continue
+		}
+		if t := i / dimTile; t != tile {
+			if tile >= 0 {
+				c.sumSq[tile] = sq
+			}
+			tile, sq = t, c.sumSq[t]
+		}
+		row[i] = xv
+		list[n] = int32(i)
+		n++
+		c.count[i]++
+		c.sum[i] += xv
+		sq += xv * xv
+		if full {
+			c.mean[i] = c.sum[i] / inv
+		}
 	}
+	if tile >= 0 {
+		c.sumSq[tile] = sq
+	}
+	c.nnz[slot] = n
 }
 
 // Rebuild recomputes the running sums, the per-tile variance partials
@@ -239,22 +299,22 @@ func (c *Centered) Apply(dst, src [][]float64) {
 // sample touches) — and the window covariance on those cells alone,
 // over a gathered copy of the ring and the mean (the mat.Restricter
 // contract). The operator is nil when the support is empty or every
-// cell, or when a held sample or the mean has a NaN or ±Inf entry.
+// cell, or when a held sample or the mean has a NaN or ±Inf entry. The
+// support comes from the per-cell counts and the mean, and the ring is
+// gathered from the cell lists, so no held row is scanned in full.
 //
 //mhm:deterministic
 func (c *Centered) Restrict() ([]int, mat.SymOp) {
-	touched := make([]bool, c.l)
-	if !markTouched(touched, c.mean) {
-		return nil, nil
-	}
-	for s := 0; s < c.n; s++ {
-		if !markTouched(touched, c.Sample(s)) {
+	var support []int
+	for i, m := range c.mean {
+		// A held NaN or ±Inf leaves its cell's running sum, and so the
+		// mean, non-finite: no add or subtract turns a NaN or an
+		// infinity back into a finite value, and Rebuild sums the held
+		// entries again. The mean therefore vouches for the held samples.
+		if !mat.IsFinite(m) {
 			return nil, nil
 		}
-	}
-	var support []int
-	for i, t := range touched {
-		if t {
+		if c.count[i] > 0 || !mat.IsZero(m) {
 			support = append(support, i)
 		}
 	}
@@ -262,32 +322,19 @@ func (c *Centered) Restrict() ([]int, mat.SymOp) {
 		return support, nil
 	}
 	m := len(support)
+	pos := make([]int32, c.l)
 	sub := &centeredOn{l: m, n: c.n, x: make([]float64, c.n*m), mean: make([]float64, m)}
-	for s := 0; s < c.n; s++ {
-		row, dst := c.Sample(s), sub.x[s*m:(s+1)*m]
-		for k, i := range support {
-			dst[k] = row[i]
-		}
-	}
 	for k, i := range support {
+		pos[i] = int32(k)
 		sub.mean[k] = c.mean[i]
 	}
-	return support, sub
-}
-
-// markTouched sets touched[i] for every nonzero row[i] and reports
-// whether the row is finite.
-func markTouched(touched []bool, row []float64) bool {
-	for i, v := range row {
-		if mat.IsZero(v) {
-			continue
+	for s := 0; s < c.n; s++ {
+		row, dst := c.Sample(s), sub.x[s*m:(s+1)*m]
+		for _, i := range c.Cells(s) {
+			dst[pos[i]] = row[i]
 		}
-		if !mat.IsFinite(v) {
-			return false
-		}
-		touched[i] = true
 	}
-	return true
+	return support, sub
 }
 
 // centeredOn is a window covariance over a gathered ring and mean: the

@@ -181,26 +181,29 @@ func TestCenteredApplyMatchesExplicit(t *testing.T) {
 	}
 }
 
-// TestCenteredUpdateAllocationFree pins the steady-state zero-alloc
-// contract on the incremental-update hot path.
+// TestCenteredUpdateAllocationFree pins the zero-alloc contract on the
+// incremental-update hot path, at one and two workers over two
+// dimension tiles.
 func TestCenteredUpdateAllocationFree(t *testing.T) {
 	const l, window = 600, 64
 	set := sketchData(window+8, l, 4)
-	c, err := NewCentered(l, window, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Update(set[:window]); err != nil {
-		t.Fatal(err)
-	}
-	batch := set[window:]
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := c.Update(batch); err != nil {
+	for _, workers := range []int{1, 2} {
+		c, err := NewCentered(l, window, workers)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Centered.Update allocated %.1f/op, want 0", allocs)
+		if err := c.Update(set[:window]); err != nil {
+			t.Fatal(err)
+		}
+		batch := set[window:]
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := c.Update(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("workers=%d: Centered.Update allocated %.1f/op, want 0", workers, allocs)
+		}
 	}
 }
 

@@ -5,14 +5,17 @@
 // (SSE2 lanes on amd64, pure Go elsewhere), responsibilities and the
 // total log-likelihood derived from that single matrix, and a
 // per-component parallel M-step — plus the tiled mean/Φ/variance build
-// of the eigenmemory covariance.
+// of the eigenmemory covariance, and Centered, the sliding-window form
+// of that build the online refresh keeps, whose updates pay only for
+// the cells each sample occupies.
 //
 // Determinism contract: for a fixed input, every result is bit-identical
 // for every worker count, including the serial run. Sample chunks and
 // dimension tiles form a fixed grid that depends only on the problem
 // size; each chunk writes disjoint state, and every cross-chunk
 // reduction (the log-likelihood sum, the variance partials) folds in
-// ascending chunk index. The per-sample and per-component arithmetic
+// ascending chunk index. Centered.Update runs serially and folds each
+// tile's variance partial in the order the tiled pass would. The per-sample and per-component arithmetic
 // reproduces the operation order of the staged gmm/pca paths exactly, so
 // models trained through this engine match the historical fits bit for
 // bit.
