@@ -200,9 +200,10 @@ func BenchmarkAnalysisTime_L1472_Lp5_J5(b *testing.B) {
 	benchClassify(b, fixDet5, fixVecs)
 }
 
-// BenchmarkScoreBatch times the blocked B=64 batch kernel on the §5.4
-// base configuration; ns/op is per MHM, directly comparable to
-// BenchmarkAnalysisTime_L1472_Lp9_J5 (the single-vector loop).
+// BenchmarkScoreBatch times Scorer.ScoreBatch on batches of 64 MHMs at
+// the §5.4 base configuration, the call calibration makes; ns/op is
+// per MHM, directly comparable to BenchmarkAnalysisTime_L1472_Lp9_J5
+// (the single-vector loop through the detector).
 func BenchmarkScoreBatch(b *testing.B) {
 	fixtures(b)
 	eng, err := fixDet9.ScoreEngine()
@@ -588,11 +589,10 @@ func BenchmarkTraceReadRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkScoreSparse times the sparse panel product on run-length
+// BenchmarkScoreSparse times Scorer.ScoreSparse on run-length
 // compressed intervals of the §5.4 base configuration; ns/op is per
-// MHM, directly comparable to BenchmarkScoreBatch (the dense blocked
-// kernel) and BenchmarkAnalysisTime_L1472_Lp9_J5 (the staged
-// single-vector loop).
+// MHM, directly comparable to BenchmarkScoreBatch (dense batches) and
+// BenchmarkAnalysisTime_L1472_Lp9_J5 (the single-vector loop).
 func BenchmarkScoreSparse(b *testing.B) {
 	fixtures(b)
 	eng, err := fixDet9.ScoreEngine()

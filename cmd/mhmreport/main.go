@@ -7,7 +7,7 @@
 //	mhmreport [-exp all|fig1|training|fig6|fig7|fig8|fig9|fig10|analysis|taskset|
 //	           ablation-lprime|ablation-j|ablation-gran|ablation-baseline|
 //	           ablation-cache|smp|alarms|extended|roc|auto-j|generalize|multiregion|
-//	           metrics|scoring|scenarios|refresh]
+//	           metrics|scenarios|refresh]
 //	          [-scale paper|medium|quick] [-seed N] [-json FILE]
 //
 // The scenarios experiment runs the full scenario × detector matrix
@@ -366,18 +366,6 @@ func run(exp, scaleName string, seed int64, jsonPath string) error {
 			}
 			fmt.Printf("  wrote %s\n", jsonPath)
 			return f.Close()
-		}},
-		{"scoring", func() error {
-			d, err := detector()
-			if err != nil {
-				return err
-			}
-			r, err := lab.ScoringThroughput(d, 9200, 3)
-			if err != nil {
-				return err
-			}
-			fmt.Print(r.String())
-			return nil
 		}},
 	}
 

@@ -77,9 +77,9 @@ func (d *Detector) ScoreEngine() (*score.Engine, error) {
 }
 
 // LogDensityBatch scores a set of raw MHM vectors into dst
-// (len(dst) == len(vecs)) as one blocked panel product through the
-// fused engine — the fast path for calibration sweeps and offline
-// evaluation. Each element is bit-identical to LogDensityVector.
+// (len(dst) == len(vecs)) through one pooled Scorer — the entry for
+// calibration sweeps and offline evaluation. Each element is
+// bit-identical to LogDensityVector.
 func (d *Detector) LogDensityBatch(dst []float64, vecs [][]float64) error {
 	if len(dst) != len(vecs) {
 		return fmt.Errorf("core: batch dst length %d for %d vectors: %w", len(dst), len(vecs), ErrConfig)
@@ -87,8 +87,8 @@ func (d *Detector) LogDensityBatch(dst []float64, vecs [][]float64) error {
 	return d.scoreVectors(dst, vecs)
 }
 
-// scoreVectors scores a set of raw MHM vectors into dst through the
-// batch engine. Bit-identical to LogDensityVector on each element.
+// scoreVectors scores a set of raw MHM vectors into dst through
+// Scorer.ScoreBatch. Bit-identical to LogDensityVector on each element.
 func (d *Detector) scoreVectors(dst []float64, vecs [][]float64) error {
 	rt, err := d.runtime()
 	if err != nil {

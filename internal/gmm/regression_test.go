@@ -190,7 +190,7 @@ func TestEngineMatchesStagedFit(t *testing.T) {
 		{60, 3, 2, 1},
 		{201, 5, 3, 2}, // odd n exercises the scalar tail lanes
 		{128, 9, 5, 3}, // the paper's L'=9, J=5 shape
-		{7, 2, 2, 4},   // fewer samples than one SIMD block
+		{7, 2, 2, 4},   // fewer samples than one E-step block
 	}
 	for _, tc := range cases {
 		data := blobs(tc.n, tc.d, tc.k, tc.seed)

@@ -21,6 +21,23 @@ type occupancyCase struct {
 	counts bool
 }
 
+// deviceVec draws a device-like interval: 46 occupied cells of
+// occupancyL, in runs of one to four cells, with counts up to 900.
+func deviceVec(rng *rand.Rand) []float64 {
+	v := make([]float64, occupancyL)
+	for n := 0; n < 46; {
+		start := rng.Intn(occupancyL - 4)
+		run := 1 + rng.Intn(4)
+		for i := start; i < start+run && n < 46; i++ {
+			if v[i] == 0 {
+				v[i] = float64(1 + rng.Intn(900))
+				n++
+			}
+		}
+	}
+	return v
+}
+
 // occupancyCases builds the vectors TestGoldenScoresOccupancy pins:
 // one occupied cell, a device-like interval (46 cells in short runs,
 // about 3% of L), 25% occupancy, the all-zero vector, and two
@@ -33,17 +50,7 @@ func occupancyCases() []occupancyCase {
 	single := make([]float64, occupancyL)
 	single[731] = 412
 
-	device := make([]float64, occupancyL)
-	for n := 0; n < 46; {
-		start := rng.Intn(occupancyL - 4)
-		run := 1 + rng.Intn(4)
-		for i := start; i < start+run && n < 46; i++ {
-			if device[i] == 0 {
-				device[i] = float64(1 + rng.Intn(900))
-				n++
-			}
-		}
-	}
+	device := deviceVec(rng)
 
 	quarter := make([]float64, occupancyL)
 	for _, i := range rng.Perm(occupancyL)[:occupancyL/4] {
@@ -86,9 +93,8 @@ func occupancyCases() []occupancyCase {
 // zero-skipping projection has to reproduce the full ascending sweep on
 // the shapes real intervals take, not only on fully occupied ones. The
 // bits were recorded from the full single-chain sweep. Score, ScoreBatch
-// (both the eight-vector packed blocks and the remainder) and, for
-// integral vectors, ScoreSparse on the run-length form must all land on
-// them.
+// and, for integral vectors, ScoreSparse on the run-length form must all
+// land on them.
 func TestGoldenScoresOccupancy(t *testing.T) {
 	golden := map[int][]uint64{
 		1: {
@@ -175,7 +181,6 @@ func TestGoldenScoresOccupancy(t *testing.T) {
 			check("Score", i, got)
 			vecs = append(vecs, c.vec)
 		}
-		// 14 vectors: one packed block of eight, then a remainder of six.
 		vecs = append(vecs, vecs...)
 		vecs = append(vecs, cases[0].vec, cases[1].vec)
 		dst := make([]float64, len(vecs))

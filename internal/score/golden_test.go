@@ -8,12 +8,11 @@ import (
 )
 
 // TestGoldenScores pins twelve exact score bit patterns for a
-// deterministic synthetic model. Because every dispatchable kernel is
-// bit-identical to the portable reference (the kernel identity tests
-// and FuzzProjectBatchAcrossKernels), these values must hold on every
-// architecture and under every GODEBUG cpu mask — any drift means the
-// arithmetic contract (per-lane multiply-then-add in ascending index
-// order, no FMA) was broken somewhere.
+// deterministic synthetic model. The kernels are pure Go with separate
+// multiplies and adds in a fixed order, so these values must hold on
+// every architecture — any drift means the arithmetic contract
+// (multiply-then-add in ascending index order, no FMA) was broken
+// somewhere.
 func TestGoldenScores(t *testing.T) {
 	golden := []uint64{
 		0xc077d24ce8c93330, // -381.14377668946963
@@ -37,15 +36,15 @@ func TestGoldenScores(t *testing.T) {
 	sc := eng.NewScorer()
 	vecs := randomVecs(len(golden), 96, 43)
 
-	// Batch path (the kernel-dispatched panel product).
+	// Batch path.
 	dst := make([]float64, len(vecs))
 	if err := sc.ScoreBatch(dst, vecs); err != nil {
 		t.Fatal(err)
 	}
 	for i, d := range dst {
 		if math.Float64bits(d) != golden[i] {
-			t.Errorf("batch score %d = %v (bits %#016x), golden %#016x [kernel %s]",
-				i, d, math.Float64bits(d), golden[i], score.Kernel())
+			t.Errorf("batch score %d = %v (bits %#016x), golden %#016x",
+				i, d, math.Float64bits(d), golden[i])
 		}
 	}
 
@@ -56,8 +55,8 @@ func TestGoldenScores(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Float64bits(d) != golden[i] {
-			t.Errorf("single score %d = %v (bits %#016x), golden %#016x [kernel %s]",
-				i, d, math.Float64bits(d), golden[i], score.Kernel())
+			t.Errorf("single score %d = %v (bits %#016x), golden %#016x",
+				i, d, math.Float64bits(d), golden[i])
 		}
 	}
 }

@@ -117,11 +117,6 @@ type Scorer struct {
 	w     []float64 // reduced vector, length L'
 	y     []float64 // triangular-solve scratch, length L'
 	terms []float64 // per-component log terms, length J
-	wb    []float64 // batch panel output, grown to B·L' on demand
-	pk    []float64 // column-major packed tile, 8·min(L, tileI) once batching
-	acc   []float64 // per-row, per-lane batch accumulators, 8·L'
-	prow  []float64 // two gathered panel-row tiles, 2·min(L, tileI)
-	ridx  []int32   // retained column indices of the current tile
 	vals  []float64 // values of the occupied cells, length L
 	cells []int32   // the occupied cells, ascending, length L
 }
@@ -155,14 +150,10 @@ func (s *Scorer) Score(v []float64) (float64, error) {
 	return s.e.mixKernel(s.w, s.y, s.terms), nil
 }
 
-// ScoreBatch scores B vectors into dst (len(dst) == len(vecs)). The
-// projection runs as a packed, L1-tiled panel product — eight vectors
-// share each panel-row sweep (one SIMD lane apiece on amd64), amortizing
-// the eigenmemory traffic the way §5.4's analysis cost scales with
-// batched intervals; the last B mod 8 vectors go through Score's
-// kernel. After scratch has grown to the largest batch seen, the
-// per-item cost is allocation-free. Scores are bit-identical to Score
-// called per vector.
+// ScoreBatch scores B vectors into dst (len(dst) == len(vecs)), each
+// through Score's kernel, so every score is bit-identical to Score's.
+// Every vector's length is checked before the first is scored: on an
+// error dst is left untouched. Zero allocations.
 //
 //mhm:deterministic
 func (s *Scorer) ScoreBatch(dst []float64, vecs [][]float64) error {
@@ -174,28 +165,9 @@ func (s *Scorer) ScoreBatch(dst []float64, vecs [][]float64) error {
 			return fmt.Errorf("score: vector %d length %d, want %d: %w", b, len(v), s.e.l, ErrModel)
 		}
 	}
-	need := len(vecs) * s.e.lp
-	if cap(s.wb) < need {
-		s.wb = make([]float64, need)
-	}
-	if len(vecs) >= 8 && len(s.pk) == 0 {
-		t := s.e.l
-		if t > tileI {
-			t = tileI
-		}
-		s.pk = make([]float64, 8*t)
-		s.acc = make([]float64, 8*s.e.lp)
-		s.prow = make([]float64, 2*tileI)
-		s.ridx = make([]int32, t)
-	}
-	wb := s.wb[:need]
-	full := len(vecs) &^ 7
-	s.e.projectBatchInto(wb, s.pk, s.prow, s.acc, s.ridx, vecs[:full])
-	for b := full; b < len(vecs); b++ {
-		s.e.projectVec(wb[b*s.e.lp:(b+1)*s.e.lp], vecs[b], s.vals, s.cells)
-	}
-	for b := range vecs {
-		dst[b] = s.e.mixKernel(wb[b*s.e.lp:(b+1)*s.e.lp], s.y, s.terms)
+	for b, v := range vecs {
+		s.e.projectVec(s.w, v, s.vals, s.cells)
+		dst[b] = s.e.mixKernel(s.w, s.y, s.terms)
 	}
 	return nil
 }

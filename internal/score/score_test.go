@@ -131,8 +131,8 @@ func TestScoreMatchesStagedPath(t *testing.T) {
 	}
 }
 
-// TestScoreBatchMatchesSingle pins the blocked batch kernel to the
-// single-vector kernel for every batch-size remainder mod 4.
+// TestScoreBatchMatchesSingle pins ScoreBatch to Score, bit for bit,
+// at every batch size from empty to 65 vectors.
 func TestScoreBatchMatchesSingle(t *testing.T) {
 	p, g := synthModel(t, 64, 5, 3, 3)
 	eng, err := score.New(p, g)
@@ -188,15 +188,57 @@ func TestScorerZeroAlloc(t *testing.T) {
 	const b = 64
 	vecs := randomVecs(b, 128, 6)
 	dst := make([]float64, b)
-	if err := s.ScoreBatch(dst, vecs); err != nil {
-		t.Fatal(err) // warm-up grows the batch scratch once
-	}
 	if n := testing.AllocsPerRun(50, func() {
 		if err := s.ScoreBatch(dst, vecs); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Errorf("ScoreBatch allocates %.1f per batch, want 0", n)
+	}
+}
+
+// TestScoreBatchAllocationFree pins ScoreBatch at 0 allocations from a
+// fresh Scorer's first call, at batch sizes from one vector to a
+// calibration set, on device-shaped intervals (L = 1,472 with 46
+// occupied cells, L' = 9, J = 5). A batch whose last vector has the
+// wrong length must fail before it writes any score.
+func TestScoreBatchAllocationFree(t *testing.T) {
+	p, g := synthModel(t, occupancyL, 9, 5, 13)
+	eng, err := score.New(p, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(14))
+	vecs := make([][]float64, 300)
+	for i := range vecs {
+		vecs[i] = deviceVec(rng)
+	}
+	for _, n := range []int{1, 7, 8, 9, 64, 300} {
+		dst := make([]float64, n)
+		// AllocsPerRun makes one untimed call, then one timed call; each
+		// gets a fresh Scorer, so the timed call is a first call.
+		scorers := []*score.Scorer{eng.NewScorer(), eng.NewScorer()}
+		calls := 0
+		if a := testing.AllocsPerRun(1, func() {
+			s := scorers[calls]
+			calls++
+			if err := s.ScoreBatch(dst, vecs[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("first ScoreBatch of %d vectors allocates %.0f times, want 0", n, a)
+		}
+	}
+
+	dst := []float64{1, 2, 3}
+	bad := [][]float64{vecs[0], vecs[1], vecs[2][:occupancyL-1]}
+	if err := eng.NewScorer().ScoreBatch(dst, bad); !errors.Is(err, score.ErrModel) {
+		t.Fatalf("short last vector: %v", err)
+	}
+	for i, d := range dst {
+		if math.Float64bits(d) != math.Float64bits(float64(i+1)) {
+			t.Errorf("dst[%d] = %v after a rejected batch, want it untouched (%d)", i, d, i+1)
+		}
 	}
 }
 

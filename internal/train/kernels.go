@@ -13,19 +13,18 @@ import (
 )
 
 // densRange runs the E-step over samples [lo, hi): full blocks of eight
-// through the SIMD panel kernel, the remainder through the scalar path
-// (identical per-sample operation order, so the split point is
+// through the eight-lane panel kernel, the remainder through the scalar
+// path (identical per-sample operation order, so the split point is
 // invisible in the results). wi selects the worker's private panels.
 //
 //mhm:hotpath
 func (e *em) densRange(lo, hi, wi int) {
-	base := wi * (16*e.d + 8)
+	base := wi * 16 * e.d
 	pd := e.pack[base : base+8*e.d]
 	py := e.pack[base+8*e.d : base+16*e.d]
-	sv := (*[8]float64)(e.pack[base+16*e.d : base+16*e.d+8])
 	s := lo
 	for ; s+8 <= hi; s += 8 {
-		e.densBlock8(s, pd, py, sv)
+		e.densBlock8(s, pd, py)
 	}
 	for ; s < hi; s++ {
 		e.densScalar(s, pd[:e.d], py[:e.d])
@@ -40,13 +39,9 @@ func (e *em) densRange(lo, hi, wi int) {
 // subtracts its dot against the solved prefix via fsubPacked8 — each
 // lane performing exactly the scalar sequence s -= L[i][t]·y[t] in
 // ascending t — then divides by the pivot and accumulates m2 += y².
-// sv is the worker's eight-lane substitution buffer: it lives in the
-// preallocated pack panel (not on the stack) because it is passed to
-// the dispatched kernel through a function variable, where escape
-// analysis cannot see the kernels' //go:noescape.
 //
 //mhm:hotpath
-func (e *em) densBlock8(s int, pd, py []float64, sv *[8]float64) {
+func (e *em) densBlock8(s int, pd, py []float64) {
 	d, k := e.d, e.k
 	for j := 0; j < k; j++ {
 		meanj := e.mean[j*d : (j+1)*d]
@@ -57,10 +52,10 @@ func (e *em) densBlock8(s int, pd, py []float64, sv *[8]float64) {
 				pd[i*8+lane] = xi[i] - m
 			}
 		}
-		var m2 [8]float64
+		var m2, sv [8]float64
 		for i := 0; i < d; i++ {
 			copy(sv[:], pd[i*8:i*8+8])
-			fsubPacked8(cholj[i*d:i*d+i], py[:i*8], sv)
+			fsubPacked8(cholj[i*d:i*d+i], py[:i*8], &sv)
 			lii := cholj[i*d+i]
 			for lane := 0; lane < 8; lane++ {
 				yv := sv[lane] / lii
@@ -76,6 +71,27 @@ func (e *em) densBlock8(s int, pd, py []float64, sv *[8]float64) {
 	}
 	for lane := 0; lane < 8; lane++ {
 		e.ll[s+lane] = respLLRow(e.resp[(s+lane)*k : (s+lane+1)*k])
+	}
+}
+
+// fsubPacked8 subtracts eight packed dot products from the lane
+// accumulators: out[k] -= Σ_i row[i]·packed[i*8+k], in ascending i per
+// lane — the same operation sequence as the scalar forward-substitution
+// row, one row for eight samples at once. len(packed) must be
+// 8·len(row).
+//
+//mhm:hotpath
+func fsubPacked8(row, packed []float64, out *[8]float64) {
+	for i, r := range row {
+		p := packed[i*8 : i*8+8]
+		out[0] -= r * p[0]
+		out[1] -= r * p[1]
+		out[2] -= r * p[2]
+		out[3] -= r * p[3]
+		out[4] -= r * p[4]
+		out[5] -= r * p[5]
+		out[6] -= r * p[6]
+		out[7] -= r * p[7]
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package train is the fused, parallel, zero-steady-state-allocation
 // training engine behind gmm.Train and pca.Train (DESIGN.md §9). It
 // owns the blocked EM inner loop — a per-iteration log-density matrix
-// computed once through fused Cholesky forward-substitution kernels
-// (SSE2 lanes on amd64, pure Go elsewhere), responsibilities and the
+// computed once through a fused Cholesky forward substitution that
+// solves eight samples at a time, responsibilities and the
 // total log-likelihood derived from that single matrix, and a
 // per-component parallel M-step — plus the tiled mean/Φ/variance build
 // of the eigenmemory covariance, and Centered, the sliding-window form
@@ -35,7 +35,7 @@ var ErrNotSPD = errors.New("train: covariance not positive definite")
 const log2Pi = 1.8378770664093453 // ln(2π)
 
 // sampleChunk is the E-step work unit: a fixed slice of samples, a
-// multiple of the 8-lane SIMD block, small enough to spread restarts'
+// multiple of the 8-lane E-step block, small enough to spread restarts'
 // leftover cores and large enough to amortize dispatch.
 const sampleChunk = 1024
 
@@ -168,7 +168,7 @@ type em struct {
 	base   []float64 // k: d·ln(2π) + logdet, the density constant
 	spd    []bool    // per-component M-step factorization outcome
 
-	pack  []float64 // per-worker diff/y/sv panels, 16·d+8 floats each
+	pack  []float64 // per-worker diff/y panels, 16·d floats each
 	mdiff []float64 // per-component M-step diff scratch, k×d
 
 	// Dispatch closures, built once so steady-state iterations do not
@@ -202,7 +202,7 @@ func newEM(data [][]float64, initMeans [][]float64, cfg EMConfig) (*em, error) {
 		chol:   make([]float64, k*d*d),
 		base:   make([]float64, k),
 		spd:    make([]bool, k),
-		pack:   make([]float64, workers*(16*d+8)),
+		pack:   make([]float64, workers*16*d),
 		mdiff:  make([]float64, k*d),
 	}
 	for i, v := range data {

@@ -150,7 +150,7 @@ func TestCholFlatMatchesMat(t *testing.T) {
 	}
 }
 
-// TestFsubPacked8MatchesScalar verifies the SIMD lane kernel against
+// TestFsubPacked8MatchesScalar verifies the eight-lane kernel against
 // the scalar subtraction sequence bit for bit.
 func TestFsubPacked8MatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
