@@ -200,33 +200,31 @@ func BenchmarkAnalysisTime_L1472_Lp5_J5(b *testing.B) {
 	benchClassify(b, fixDet5, fixVecs)
 }
 
-// BenchmarkScoreBatch times Scorer.ScoreBatch on batches of 64 MHMs at
-// the §5.4 base configuration, the call calibration makes; ns/op is
-// per MHM, directly comparable to BenchmarkAnalysisTime_L1472_Lp9_J5
-// (the single-vector loop through the detector).
-func BenchmarkScoreBatch(b *testing.B) {
+// BenchmarkScoreCounts times Scorer.ScoreCounts, the entry
+// Detector.LogDensity and pipeline.Pipeline score through, on 64
+// device-shaped intervals of the §5.4 base configuration (L = 1,472
+// with 46 occupied cells, L' = 9, J = 5); ns/op is per MHM. allocs/op
+// must stay 0 (the CI allocation gate).
+func BenchmarkScoreCounts(b *testing.B) {
 	fixtures(b)
 	eng, err := fixDet9.ScoreEngine()
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := eng.NewScorer()
-	const batch = 64
-	vecs := make([][]float64, batch)
-	for i := range vecs {
-		vecs[i] = fixVecs[i%len(fixVecs)]
-	}
-	dst := make([]float64, batch)
-	if err := s.ScoreBatch(dst, vecs); err != nil {
-		b.Fatal(err)
-	}
+	maps := deviceMaps(b, fixDet9.Region, 5, snoopIntervals)
 	b.ResetTimer()
-	for done := 0; done < b.N; done += batch {
-		if err := s.ScoreBatch(dst, vecs); err != nil {
+	for i := 0; i < b.N; i++ {
+		d, err := s.ScoreCounts(maps[i%len(maps)].Counts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		scoreSink = d
 	}
 }
+
+// scoreSink keeps benchmarked scores live.
+var scoreSink float64
 
 // BenchmarkSessionSimulation times the monitored-core substrate: one
 // second of simulated system execution producing 100 MHMs.
@@ -294,6 +292,27 @@ func deviceAccesses(seed int64, intervals int) []trace.Access {
 		})
 	}
 	return out
+}
+
+// deviceMaps sums a device-shaped capture of the given number of
+// intervals from seed into one dense heat map per interval over region,
+// as dense collect delivers them.
+func deviceMaps(b *testing.B, region heatmap.Def, seed int64, intervals int) []*heatmap.HeatMap {
+	b.Helper()
+	maps := make([]*heatmap.HeatMap, intervals)
+	for i := range maps {
+		m, err := heatmap.New(region)
+		if err != nil {
+			b.Fatal(err)
+		}
+		maps[i] = m
+	}
+	for _, a := range deviceAccesses(seed, intervals) {
+		if !maps[a.Time/fusedIntervalMicros].Record(a.Addr, a.Count) {
+			b.Fatalf("access at %#x lies outside %+v", a.Addr, region)
+		}
+	}
+	return maps
 }
 
 // snoopFixture is the pre-decoded capture of the snoop-path benchmark.
@@ -591,8 +610,8 @@ func BenchmarkTraceReadRecord(b *testing.B) {
 
 // BenchmarkScoreSparse times Scorer.ScoreSparse on run-length
 // compressed intervals of the §5.4 base configuration; ns/op is per
-// MHM, directly comparable to BenchmarkScoreBatch (dense batches) and
-// BenchmarkAnalysisTime_L1472_Lp9_J5 (the single-vector loop).
+// MHM, directly comparable to BenchmarkAnalysisTime_L1472_Lp9_J5 (the
+// single-vector loop over the same normal maps).
 func BenchmarkScoreSparse(b *testing.B) {
 	fixtures(b)
 	eng, err := fixDet9.ScoreEngine()

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/memheatmap/mhm/internal/gmm"
@@ -78,14 +80,14 @@ func (c *Config) fill() error {
 	if len(c.Quantiles) == 0 {
 		c.Quantiles = []float64{0.005, 0.01}
 	}
-	for _, p := range c.Quantiles {
-		if p <= 0 || p >= 1 {
-			return fmt.Errorf("core: quantile %g out of (0,1): %w", p, ErrConfig)
+	for i, p := range c.Quantiles {
+		if !(p > 0 && p < 1) || slices.Contains(c.Quantiles[:i], p) {
+			return fmt.Errorf("core: quantile %g out of (0,1) or repeated: %w", p, ErrConfig)
 		}
 	}
-	for _, p := range c.ResidualQuantiles {
-		if p <= 0 || p >= 1 {
-			return fmt.Errorf("core: residual quantile %g out of (0,1): %w", p, ErrConfig)
+	for i, p := range c.ResidualQuantiles {
+		if !(p > 0 && p < 1) || slices.Contains(c.ResidualQuantiles[:i], p) {
+			return fmt.Errorf("core: residual quantile %g out of (0,1) or repeated: %w", p, ErrConfig)
 		}
 	}
 	return nil
@@ -97,6 +99,22 @@ func (c *Config) fill() error {
 type Threshold struct {
 	P     float64 `json:"p"`
 	Theta float64 `json:"theta"`
+}
+
+// checkThresholds rejects a threshold set no calibration produces: a P
+// outside (0, 1), a P that repeats, or a NaN θ. kind names the set.
+func checkThresholds(kind string, ths []Threshold) error {
+	for i, th := range ths {
+		if !(th.P > 0 && th.P < 1) || math.IsNaN(th.Theta) {
+			return fmt.Errorf("core: %s threshold p=%g θ=%g: p must lie in (0,1) and θ must not be NaN: %w", kind, th.P, th.Theta, ErrConfig)
+		}
+		for _, prev := range ths[:i] {
+			if prev.P == th.P {
+				return fmt.Errorf("core: %s threshold p=%g repeats: %w", kind, th.P, ErrConfig)
+			}
+		}
+	}
+	return nil
 }
 
 // Detector is a trained memory-behaviour model.
@@ -230,9 +248,13 @@ func Train(trainSet, calib []*heatmap.HeatMap, cfg Config) (*Detector, error) {
 // Train. It fails, like Train and Load, when the models do not fuse with
 // each other or with the region. Thresholds are the caller's (typically
 // recalibrated on a sliding held-out window) and are sorted by P here;
-// they may be empty when only raw densities are needed. The models are
+// they may be empty when only raw densities are needed, and it fails on
+// a P outside (0, 1), a repeated P or a NaN θ. The models are
 // referenced, not copied, and must not be mutated afterwards.
 func NewDetector(region heatmap.Def, pcaModel *pca.Model, gmmModel *gmm.Model, thresholds []Threshold) (*Detector, error) {
+	if err := checkThresholds("density", thresholds); err != nil {
+		return nil, err
+	}
 	rt, err := newScoring(region, pcaModel, gmmModel)
 	if err != nil {
 		return nil, err
@@ -332,7 +354,9 @@ func (d *Detector) Dim() (int, int) { return d.PCA.Dim() }
 
 // LogDensity scores one MHM: mean-shift, project onto the eigenmemories,
 // evaluate the mixture log density (the y-axis of the paper's Figs.
-// 7/8/10).
+// 7/8/10). It scores straight from the counts (Scorer.ScoreCounts), so
+// a sparse interval is never widened to a float vector; an instrumented
+// detector widens it for the staged route. Allocation-free.
 func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
 	rt, err := d.runtime()
 	if err != nil {
@@ -344,6 +368,9 @@ func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
 	}
 	s := rt.pool.Get().(*detScratch)
 	defer rt.pool.Put(s)
+	if d.projHist == nil && d.scoreHist == nil {
+		return s.sc.ScoreCounts(m.Counts)
+	}
 	m.VectorInto(s.vbuf)
 	return d.scoreVector(s, s.vbuf)
 }
@@ -488,11 +515,18 @@ func (d *Detector) Save(w io.Writer) error {
 
 // Load reads a detector produced by Save. It fails, like Train and
 // NewDetector, when the models do not fuse with each other or with the
-// region.
+// region, and, like NewDetector, on a threshold or residual threshold
+// with a P outside (0, 1), a repeated P or a NaN θ.
 func Load(r io.Reader) (*Detector, error) {
 	var dj detectorJSON
 	if err := json.NewDecoder(r).Decode(&dj); err != nil {
 		return nil, fmt.Errorf("core: decode detector: %w", err)
+	}
+	if err := checkThresholds("density", dj.Thresholds); err != nil {
+		return nil, err
+	}
+	if err := checkThresholds("residual", dj.ResidualThresholds); err != nil {
+		return nil, err
 	}
 	pcaModel, err := pca.Load(bytes.NewReader(dj.PCA))
 	if err != nil {

@@ -213,6 +213,9 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(many, many, Config{Quantiles: []float64{2}}); !errors.Is(err, ErrConfig) {
 		t.Errorf("bad quantile: %v", err)
 	}
+	if _, err := Train(many, many, Config{Quantiles: []float64{0.01, 0.01}}); !errors.Is(err, ErrConfig) {
+		t.Errorf("repeated quantile: %v", err)
+	}
 	mixed := append([]*heatmap.HeatMap{}, many...)
 	foreign, _ := heatmap.New(heatmap.Def{AddrBase: 0, Size: 1024, Gran: 256})
 	mixed = append(mixed, foreign)

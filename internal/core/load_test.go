@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/memheatmap/mhm/internal/heatmap"
@@ -89,9 +91,65 @@ func TestLoadRejectsUnfusedModels(t *testing.T) {
 	}
 }
 
-// FuzzLoad: Load never panics, and any detector it returns scores a zero
+// TestLoadRejectsBadThresholds: a saved detector whose thresholds no
+// calibration produces — a P outside (0, 1), a repeated P — must fail to
+// load with ErrConfig. The first row is the tampered file that used to
+// load and flag every interval: P = 3 with θ = 1e308. JSON cannot carry
+// a NaN θ; TestNewDetectorValidation covers that one.
+func TestLoadRejectsBadThresholds(t *testing.T) {
+	dj := savedDetector(t)
+	good := dj.Thresholds
+	for _, tc := range []struct {
+		name          string
+		ths, residual []Threshold
+	}{
+		{"p=3 θ=1e308", []Threshold{{P: 3, Theta: 1e308}}, nil},
+		{"p=0", []Threshold{{P: 0, Theta: -10}}, nil},
+		{"p=1", []Threshold{{P: 1, Theta: -10}}, nil},
+		{"p<0", []Threshold{{P: -0.01, Theta: -10}}, nil},
+		{"repeated p", []Threshold{good[0], good[1], {P: good[0].P, Theta: good[1].Theta}}, nil},
+		{"residual p=3", good, []Threshold{{P: 3, Theta: 1}}},
+		{"residual repeated p", good, []Threshold{{P: 0.01, Theta: 1}, {P: 0.01, Theta: 2}}},
+	} {
+		bad := dj
+		bad.Thresholds, bad.ResidualThresholds = tc.ths, tc.residual
+		if _, err := Load(bytes.NewReader(encodeDetector(t, bad))); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: %v, want ErrConfig", tc.name, err)
+		}
+	}
+
+	// Unsorted thresholds and residual thresholds in (0, 1) still load.
+	ok := dj
+	ok.Thresholds = []Threshold{good[1], good[0]}
+	ok.ResidualThresholds = []Threshold{{P: 0.01, Theta: 1}, {P: 0.005, Theta: 2}}
+	if _, err := Load(bytes.NewReader(encodeDetector(t, ok))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// brokenThresholdRule names the first threshold rule ths breaks — every
+// P in (0, 1), no P twice, no NaN θ — or returns "".
+func brokenThresholdRule(ths []Threshold) string {
+	seen := map[float64]bool{}
+	for _, th := range ths {
+		switch {
+		case !(th.P > 0 && th.P < 1):
+			return fmt.Sprintf("p=%g outside (0,1)", th.P)
+		case seen[th.P]:
+			return fmt.Sprintf("p=%g repeats", th.P)
+		case math.IsNaN(th.Theta):
+			return fmt.Sprintf("p=%g has a NaN θ", th.P)
+		}
+		seen[th.P] = true
+	}
+	return ""
+}
+
+// FuzzLoad: Load never panics, any detector it returns scores a zero
 // interval of its own region without error — a model file either yields
-// a working detector or an error, never one that fails per interval.
+// a working detector or an error, never one that fails per interval —
+// and every threshold it carries has a P in (0, 1), no P twice and a θ
+// that is not NaN.
 func FuzzLoad(f *testing.F) {
 	d, _ := trainTestDetector(f)
 	var buf bytes.Buffer
@@ -99,6 +157,7 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add(bytes.Replace(buf.Bytes(), []byte(`{"p":0.01,`), []byte(`{"p":3,`), 1))
 	f.Add([]byte("nope"))
 	f.Add([]byte(`{"region":{},"pca":{},"gmm":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -112,6 +171,12 @@ func FuzzLoad(f *testing.F) {
 		}
 		if _, err := d.LogDensity(m); err != nil {
 			t.Fatalf("loaded detector cannot score a zero interval: %v", err)
+		}
+		if rule := brokenThresholdRule(d.Thresholds); rule != "" {
+			t.Fatalf("loaded detector's threshold %s", rule)
+		}
+		if rule := brokenThresholdRule(d.ResidualThresholds); rule != "" {
+			t.Fatalf("loaded detector's residual threshold %s", rule)
 		}
 	})
 }

@@ -43,8 +43,9 @@ func TestNewDetectorMatchesTrained(t *testing.T) {
 	}
 }
 
-// TestNewDetectorValidation checks nil models, region mismatch and
-// mixture-dimension mismatch are rejected.
+// TestNewDetectorValidation checks nil models, region mismatch,
+// mixture-dimension mismatch and thresholds no calibration produces (a P
+// outside (0, 1), a repeated P, a NaN θ) are rejected.
 func TestNewDetectorValidation(t *testing.T) {
 	d, _ := trainTestDetector(t)
 	if _, err := NewDetector(d.Region, nil, d.GMM, nil); !errors.Is(err, ErrConfig) {
@@ -56,6 +57,18 @@ func TestNewDetectorValidation(t *testing.T) {
 	small := heatmap.Def{AddrBase: 0x1000, Size: 32 * 256, Gran: 256}
 	if _, err := NewDetector(small, d.PCA, d.GMM, nil); !errors.Is(err, ErrRegionMismatch) {
 		t.Fatalf("region mismatch: %v", err)
+	}
+	for name, ths := range map[string][]Threshold{
+		"p=3":        {{P: 3, Theta: 1e308}},
+		"p=0":        {{P: 0, Theta: -10}},
+		"p=1":        {{P: 1, Theta: -10}},
+		"NaN p":      {{P: math.NaN(), Theta: -10}},
+		"repeated p": {{P: 0.01, Theta: -10}, {P: 0.005, Theta: -12}, {P: 0.01, Theta: -11}},
+		"NaN θ":      {{P: 0.01, Theta: math.NaN()}},
+	} {
+		if _, err := NewDetector(d.Region, d.PCA, d.GMM, ths); !errors.Is(err, ErrConfig) {
+			t.Errorf("thresholds %s: %v, want ErrConfig", name, err)
+		}
 	}
 }
 

@@ -153,6 +153,9 @@ func TestResidualConfigValidation(t *testing.T) {
 	if _, err := Train(many, many, Config{ResidualQuantiles: []float64{1.5}}); !errors.Is(err, ErrConfig) {
 		t.Errorf("bad residual quantile: %v", err)
 	}
+	if _, err := Train(many, many, Config{ResidualQuantiles: []float64{0.01, 0.01}}); !errors.Is(err, ErrConfig) {
+		t.Errorf("repeated residual quantile: %v", err)
+	}
 }
 
 // TestMalformedCountsRejected: a map carrying the trained definition but

@@ -23,7 +23,7 @@ type scoring struct {
 
 // detScratch is one pooled unit of per-call working storage.
 type detScratch struct {
-	sc   *score.Scorer // fused single/batch scoring
+	sc   *score.Scorer // fused scoring
 	vbuf []float64     // length L: HeatMap.VectorInto target
 	w    []float64     // length L': staged projection output
 	rec  []float64     // length L: residual reconstruction scratch
@@ -88,13 +88,26 @@ func (d *Detector) LogDensityBatch(dst []float64, vecs [][]float64) error {
 }
 
 // scoreVectors scores a set of raw MHM vectors into dst through
-// Scorer.ScoreBatch. Bit-identical to LogDensityVector on each element.
+// Scorer.Score. Every vector's length is checked before the first is
+// scored, so on an error dst is left untouched. Bit-identical to
+// LogDensityVector on each element.
 func (d *Detector) scoreVectors(dst []float64, vecs [][]float64) error {
 	rt, err := d.runtime()
 	if err != nil {
 		return err
 	}
+	l, _ := rt.eng.Dim()
+	for i, v := range vecs {
+		if len(v) != l {
+			return fmt.Errorf("core: vector %d length %d, want %d: %w", i, len(v), l, score.ErrModel)
+		}
+	}
 	s := rt.pool.Get().(*detScratch)
 	defer rt.pool.Put(s)
-	return s.sc.ScoreBatch(dst, vecs)
+	for i, v := range vecs {
+		if dst[i], err = s.sc.Score(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/memheatmap/mhm/internal/heatmap"
 	"github.com/memheatmap/mhm/internal/obs"
+	"github.com/memheatmap/mhm/internal/score"
 )
 
 var errMismatch = errors.New("concurrent score differs from serial score")
@@ -248,5 +249,25 @@ func TestResidualAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("pooled Residual allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestLogDensityBatchLeavesDstOnError: every vector's length is checked
+// before the first is scored, so a batch whose last vector is short
+// fails with score.ErrModel and writes no score.
+func TestLogDensityBatchLeavesDstOnError(t *testing.T) {
+	d, rng := trainTestDetector(t)
+	good := patternMap(rng, 0).Vector()
+	dst := []float64{1, 2, 3}
+	if err := d.LogDensityBatch(dst, [][]float64{good, good, good[:len(good)-1]}); !errors.Is(err, score.ErrModel) {
+		t.Fatalf("short last vector: %v, want score.ErrModel", err)
+	}
+	for i, v := range dst {
+		if math.Float64bits(v) != math.Float64bits(float64(i+1)) {
+			t.Errorf("dst[%d] = %v after a rejected batch, want it untouched (%d)", i, v, i+1)
+		}
+	}
+	if err := d.LogDensityBatch(dst[:2], [][]float64{good}); !errors.Is(err, ErrConfig) {
+		t.Errorf("dst of 2 for 1 vector: %v, want ErrConfig", err)
 	}
 }

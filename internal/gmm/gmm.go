@@ -437,7 +437,8 @@ func (m *Model) Save(w io.Writer) error {
 	return json.NewEncoder(w).Encode(out)
 }
 
-// Load reads a model produced by Save.
+// Load reads a model produced by Save. Every component must have the
+// first one's dimension and an SPD covariance.
 func Load(r io.Reader) (*Model, error) {
 	var in []componentJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -448,6 +449,10 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	m := &Model{Components: make([]Component, len(in))}
 	for j, cj := range in {
+		if len(cj.Mean) != len(in[0].Mean) {
+			return nil, fmt.Errorf("gmm: component %d has dim %d, component 0 dim %d: %w",
+				j, len(cj.Mean), len(in[0].Mean), ErrTraining)
+		}
 		cov, err := mat.FromRows(cj.Cov)
 		if err != nil {
 			return nil, fmt.Errorf("gmm: component %d covariance: %w", j, err)

@@ -300,6 +300,8 @@ func TestLoadRejectsMalformed(t *testing.T) {
 		"[]",
 		`[{"weight":1,"mean":[0,0],"cov":[[1,0]]}]`,
 		`[{"weight":1,"mean":[0],"cov":[[0]]}]`, // non-SPD covariance
+		// mixed dimensions
+		`[{"weight":1,"mean":[0],"cov":[[2]]},{"weight":1,"mean":[0,0],"cov":[[1,0],[0,1]]}]`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {

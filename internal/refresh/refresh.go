@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/memheatmap/mhm/internal/core"
 	"github.com/memheatmap/mhm/internal/ensemble"
@@ -126,9 +127,9 @@ func (c *Config) fill() error {
 		return fmt.Errorf("refresh: window=%d holdout=%d holdoutEvery=%d emBatch=%d rebuildEvery=%d: %w",
 			c.Window, c.Holdout, c.HoldoutEvery, c.EMBatch, c.RebuildEvery, ErrConfig)
 	}
-	for _, p := range c.Quantiles {
-		if !(p > 0) || p >= 1 {
-			return fmt.Errorf("refresh: quantile %g out of (0,1): %w", p, ErrConfig)
+	for i, p := range c.Quantiles {
+		if !(p > 0) || p >= 1 || slices.Contains(c.Quantiles[:i], p) {
+			return fmt.Errorf("refresh: quantile %g out of (0,1) or repeated: %w", p, ErrConfig)
 		}
 	}
 	return nil

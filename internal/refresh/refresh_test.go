@@ -345,6 +345,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(det, Config{Quantiles: []float64{1.5}}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("quantile 1.5: %v", err)
 	}
+	if _, err := New(det, Config{Quantiles: []float64{0.01, 0.005, 0.01}}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("repeated quantile: %v", err)
+	}
 	if _, err := New(det, Config{Window: 3}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("window below L'+2: %v", err)
 	}

@@ -17,7 +17,8 @@ type occupancyCase struct {
 	name string
 	vec  []float64
 	// counts reports that every entry is a non-negative integral
-	// count, so the vector is also a heat map ScoreSparse can take.
+	// count, so the vector is also a heat map ScoreCounts and
+	// ScoreSparse can take.
 	counts bool
 }
 
@@ -92,9 +93,10 @@ func occupancyCases() []occupancyCase {
 // vectors at every eigenmemory count whose row grouping differs, so the
 // zero-skipping projection has to reproduce the full ascending sweep on
 // the shapes real intervals take, not only on fully occupied ones. The
-// bits were recorded from the full single-chain sweep. Score, ScoreBatch
-// and, for integral vectors, ScoreSparse on the run-length form must all
-// land on them.
+// bits were recorded from the full single-chain sweep. Score (over
+// the cases repeatedly, so each call follows another's scratch) and, for
+// integral vectors, ScoreCounts on the counts and ScoreSparse on the
+// run-length form must all land on them.
 func TestGoldenScoresOccupancy(t *testing.T) {
 	golden := map[int][]uint64{
 		1: {
@@ -172,23 +174,13 @@ func TestGoldenScoresOccupancy(t *testing.T) {
 			}
 		}
 
-		vecs := make([][]float64, 0, 2*len(cases)+2)
-		for i, c := range cases {
-			got, err := sc.Score(c.vec)
+		for b := range 2*len(cases) + 2 {
+			i := b % len(cases)
+			got, err := sc.Score(cases[i].vec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("Score", i, got)
-			vecs = append(vecs, c.vec)
-		}
-		vecs = append(vecs, vecs...)
-		vecs = append(vecs, cases[0].vec, cases[1].vec)
-		dst := make([]float64, len(vecs))
-		if err := sc.ScoreBatch(dst, vecs); err != nil {
-			t.Fatal(err)
-		}
-		for b, d := range dst {
-			check("ScoreBatch", b%len(cases), d)
 		}
 
 		for i, c := range cases {
@@ -202,8 +194,13 @@ func TestGoldenScoresOccupancy(t *testing.T) {
 			for k, x := range c.vec {
 				h.Counts[k] = uint32(x)
 			}
+			got, err := sc.ScoreCounts(h.Counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("ScoreCounts", i, got)
 			sp := h.Sparsify(nil)
-			got, err := sc.ScoreSparse(sp.RunStart, sp.RunLen, sp.Counts)
+			got, err = sc.ScoreSparse(sp.RunStart, sp.RunLen, sp.Counts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,28 +34,13 @@ func TestGoldenScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := eng.NewScorer()
-	vecs := randomVecs(len(golden), 96, 43)
-
-	// Batch path.
-	dst := make([]float64, len(vecs))
-	if err := sc.ScoreBatch(dst, vecs); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range dst {
-		if math.Float64bits(d) != golden[i] {
-			t.Errorf("batch score %d = %v (bits %#016x), golden %#016x",
-				i, d, math.Float64bits(d), golden[i])
-		}
-	}
-
-	// Single-vector path must land on the same bits.
-	for i, v := range vecs {
+	for i, v := range randomVecs(len(golden), 96, 43) {
 		d, err := sc.Score(v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(d) != golden[i] {
-			t.Errorf("single score %d = %v (bits %#016x), golden %#016x",
+			t.Errorf("score %d = %v (bits %#016x), golden %#016x",
 				i, d, math.Float64bits(d), golden[i])
 		}
 	}

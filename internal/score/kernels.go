@@ -87,6 +87,38 @@ func occupied(vals []float64, cells []int32, v []float64) int {
 	return n
 }
 
+// occupiedCounts is occupied over integral cell counts: it lists the
+// cells with nonzero counts in ascending order into cells, with the
+// counts widened into vals, and gives up exactly where occupied would on
+// the widened vector, since a count is occupied exactly when its float64
+// is not ±0.0. Empty cells never decide the give-up, so the scan skips
+// them four to a compare, as heatmap.Sparsify does.
+//
+//mhm:hotpath
+//mhm:deterministic
+func occupiedCounts(vals []float64, cells []int32, counts []uint32) int {
+	n, l := 0, len(counts)
+	for i := 0; i < l; i++ {
+		for i+4 <= l && counts[i]|counts[i+1]|counts[i+2]|counts[i+3] == 0 {
+			i += 4
+		}
+		if i == l {
+			break
+		}
+		c := counts[i]
+		if c == 0 {
+			continue
+		}
+		if 3*n > i+64 {
+			return -1
+		}
+		vals[n] = float64(c)
+		cells[n] = int32(i)
+		n++
+	}
+	return n
+}
+
 // sweep3 is one pass of project over three panel rows, one chain per
 // row: s_k = Σ_t r_k[cells[t]]·vals[t] in ascending t, or
 // Σ_i r_k[i]·vals[i] when cells is nil.

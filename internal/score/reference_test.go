@@ -141,27 +141,23 @@ func occupancyVec(rng *rand.Rand, l, occ, family int) []float64 {
 	return v
 }
 
-// checkAgainstRef scores v through Score, ScoreBatch (three copies) and,
-// for count vectors, ScoreSparse on the Sparsify'd map, and demands each
-// score match projectRef followed by mixKernel, and Score's and
-// ScoreSparse's reduced vectors match projectRef; name prefixes its
-// failure messages. It reports whether Score swept v directly rather
-// than through a cell list.
+// checkAgainstRef scores v through Score (three times over) and, for
+// count vectors, through ScoreCounts on the counts and ScoreSparse on
+// the Sparsify'd map, and demands each score match projectRef followed
+// by mixKernel, and each route's reduced vector match projectRef; name
+// prefixes its failure messages. It reports whether Score swept v
+// directly rather than through a cell list.
 func checkAgainstRef(t *testing.T, name string, e *Engine, s *Scorer, v []float64, family int) (direct bool) {
 	t.Helper()
 	want := make([]float64, e.lp)
 	e.projectRef(want, v)
 	wantScore := e.mixKernel(want, make([]float64, e.lp), make([]float64, len(e.comps)))
-	sameScore := func(route string, got float64) {
+	same := func(route string, got float64, w []float64) {
 		t.Helper()
 		if !sameBits(got, wantScore) {
 			t.Fatalf("%s %s: score %v (bits %#x), reference %v (bits %#x)",
 				name, route, got, math.Float64bits(got), wantScore, math.Float64bits(wantScore))
 		}
-	}
-	same := func(route string, got float64, w []float64) {
-		t.Helper()
-		sameScore(route, got)
 		for j := range want {
 			if !sameBits(w[j], want[j]) {
 				t.Fatalf("%s %s: w[%d] = %v (bits %#x), reference %v (bits %#x)",
@@ -170,20 +166,14 @@ func checkAgainstRef(t *testing.T, name string, e *Engine, s *Scorer, v []float6
 		}
 	}
 
-	got, err := s.Score(v)
-	if err != nil {
-		t.Fatal(err)
+	for range 3 {
+		got, err := s.Score(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("Score", got, s.w)
 	}
-	same("Score", got, s.w)
 	direct = occupied(make([]float64, e.l), make([]int32, e.l), v) < 0
-
-	var dst [3]float64
-	if err := s.ScoreBatch(dst[:], [][]float64{v, v, v}); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range dst {
-		sameScore("ScoreBatch", d)
-	}
 
 	if family != famCounts {
 		return direct
@@ -195,6 +185,11 @@ func checkAgainstRef(t *testing.T, name string, e *Engine, s *Scorer, v []float6
 	for i, x := range v {
 		h.Counts[i] = uint32(x)
 	}
+	got, err := s.ScoreCounts(h.Counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("ScoreCounts", got, s.w)
 	sp := h.Sparsify(nil)
 	got, err = s.ScoreSparse(sp.RunStart, sp.RunLen, sp.Counts)
 	if err != nil {
@@ -206,10 +201,10 @@ func checkAgainstRef(t *testing.T, name string, e *Engine, s *Scorer, v []float6
 
 // TestScoreMatchesReference pins every single-vector route to the
 // single-chain reference at every occupancy from 0 to L, for every row
-// grouping up to L' = 9: count vectors (also through ScoreSparse),
-// vectors laden with NaN, ±Inf, −0 and subnormals, and vectors whose
-// every term is subnormal. Both of Score's sweeps must run: the cell
-// list on sparse vectors, the direct sweep on dense ones.
+// grouping up to L' = 9: count vectors (also through ScoreCounts and
+// ScoreSparse), vectors laden with NaN, ±Inf, −0 and subnormals, and
+// vectors whose every term is subnormal. Both of Score's sweeps must
+// run: the cell list on sparse vectors, the direct sweep on dense ones.
 func TestScoreMatchesReference(t *testing.T) {
 	const l = 200
 	rng := rand.New(rand.NewSource(31))

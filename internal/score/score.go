@@ -150,26 +150,30 @@ func (s *Scorer) Score(v []float64) (float64, error) {
 	return s.e.mixKernel(s.w, s.y, s.terms), nil
 }
 
-// ScoreBatch scores B vectors into dst (len(dst) == len(vecs)), each
-// through Score's kernel, so every score is bit-identical to Score's.
-// Every vector's length is checked before the first is scored: on an
-// error dst is left untouched. Zero allocations.
+// ScoreCounts returns the mixture log density of one heat map given its
+// cell counts (length L), bit-identical to Score on the counts widened
+// to float64. One scan of the counts lists the occupied cells and widens
+// only those, so a device interval never builds its L-cell float vector;
+// past Score's give-up point the counts are widened whole and swept
+// directly. Zero allocations.
 //
+//mhm:hotpath
 //mhm:deterministic
-func (s *Scorer) ScoreBatch(dst []float64, vecs [][]float64) error {
-	if len(dst) != len(vecs) {
-		return fmt.Errorf("score: dst length %d for %d vectors: %w", len(dst), len(vecs), ErrModel)
+func (s *Scorer) ScoreCounts(counts []uint32) (float64, error) {
+	if len(counts) != s.e.l {
+		//mhmlint:ignore hotpath cold error path; callers check the map against the region first
+		return 0, fmt.Errorf("score: %d counts, want %d: %w", len(counts), s.e.l, ErrModel)
 	}
-	for b, v := range vecs {
-		if len(v) != s.e.l {
-			return fmt.Errorf("score: vector %d length %d, want %d: %w", b, len(v), s.e.l, ErrModel)
+	if n := occupiedCounts(s.vals, s.cells, counts); n >= 0 {
+		s.e.project(s.w, s.vals[:n], s.cells[:n])
+	} else {
+		vals := s.vals[:len(counts)]
+		for i, c := range counts {
+			vals[i] = float64(c)
 		}
+		s.e.project(s.w, vals, nil)
 	}
-	for b, v := range vecs {
-		s.e.projectVec(s.w, v, s.vals, s.cells)
-		dst[b] = s.e.mixKernel(s.w, s.y, s.terms)
-	}
-	return nil
+	return s.e.mixKernel(s.w, s.y, s.terms), nil
 }
 
 // ScoreSparse scores one interval given only its occupied cells, as

@@ -131,35 +131,8 @@ func TestScoreMatchesStagedPath(t *testing.T) {
 	}
 }
 
-// TestScoreBatchMatchesSingle pins ScoreBatch to Score, bit for bit,
-// at every batch size from empty to 65 vectors.
-func TestScoreBatchMatchesSingle(t *testing.T) {
-	p, g := synthModel(t, 64, 5, 3, 3)
-	eng, err := score.New(p, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := eng.NewScorer()
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 64, 65} {
-		vecs := randomVecs(n, 64, int64(10+n))
-		dst := make([]float64, n)
-		if err := s.ScoreBatch(dst, vecs); err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range vecs {
-			want, err := s.Score(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(dst[i]) != math.Float64bits(want) {
-				t.Fatalf("batch %d, vector %d: batch %v, single %v", n, i, dst[i], want)
-			}
-		}
-	}
-}
-
-// TestScorerZeroAlloc pins the steady-state allocation contract of both
-// entry points.
+// TestScorerZeroAlloc pins the allocation contract of Score and
+// ScoreCounts, on a dense and a sparse interval each.
 func TestScorerZeroAlloc(t *testing.T) {
 	p, g := synthModel(t, 128, 8, 5, 4)
 	eng, err := score.New(p, g)
@@ -185,59 +158,21 @@ func TestScorerZeroAlloc(t *testing.T) {
 		}
 	}
 
-	const b = 64
-	vecs := randomVecs(b, 128, 6)
-	dst := make([]float64, b)
-	if n := testing.AllocsPerRun(50, func() {
-		if err := s.ScoreBatch(dst, vecs); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("ScoreBatch allocates %.1f per batch, want 0", n)
+	full := make([]uint32, 128)
+	for i := range full {
+		full[i] = uint32(1 + i)
 	}
-}
-
-// TestScoreBatchAllocationFree pins ScoreBatch at 0 allocations from a
-// fresh Scorer's first call, at batch sizes from one vector to a
-// calibration set, on device-shaped intervals (L = 1,472 with 46
-// occupied cells, L' = 9, J = 5). A batch whose last vector has the
-// wrong length must fail before it writes any score.
-func TestScoreBatchAllocationFree(t *testing.T) {
-	p, g := synthModel(t, occupancyL, 9, 5, 13)
-	eng, err := score.New(p, g)
-	if err != nil {
-		t.Fatal(err)
+	few := make([]uint32, 128)
+	for _, i := range []int{3, 4, 5, 40, 90, 91} {
+		few[i] = uint32(i)
 	}
-	rng := rand.New(rand.NewSource(14))
-	vecs := make([][]float64, 300)
-	for i := range vecs {
-		vecs[i] = deviceVec(rng)
-	}
-	for _, n := range []int{1, 7, 8, 9, 64, 300} {
-		dst := make([]float64, n)
-		// AllocsPerRun makes one untimed call, then one timed call; each
-		// gets a fresh Scorer, so the timed call is a first call.
-		scorers := []*score.Scorer{eng.NewScorer(), eng.NewScorer()}
-		calls := 0
-		if a := testing.AllocsPerRun(1, func() {
-			s := scorers[calls]
-			calls++
-			if err := s.ScoreBatch(dst, vecs[:n]); err != nil {
+	for _, c := range [][]uint32{full, few} {
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := s.ScoreCounts(c); err != nil {
 				t.Fatal(err)
 			}
-		}); a != 0 {
-			t.Errorf("first ScoreBatch of %d vectors allocates %.0f times, want 0", n, a)
-		}
-	}
-
-	dst := []float64{1, 2, 3}
-	bad := [][]float64{vecs[0], vecs[1], vecs[2][:occupancyL-1]}
-	if err := eng.NewScorer().ScoreBatch(dst, bad); !errors.Is(err, score.ErrModel) {
-		t.Fatalf("short last vector: %v", err)
-	}
-	for i, d := range dst {
-		if math.Float64bits(d) != math.Float64bits(float64(i+1)) {
-			t.Errorf("dst[%d] = %v after a rejected batch, want it untouched (%d)", i, d, i+1)
+		}); n != 0 {
+			t.Errorf("ScoreCounts allocates %.1f/op, want 0", n)
 		}
 	}
 }
@@ -266,12 +201,6 @@ func TestEngineValidation(t *testing.T) {
 	s := eng.NewScorer()
 	if _, err := s.Score(make([]float64, 31)); !errors.Is(err, score.ErrModel) {
 		t.Errorf("short vector: %v", err)
-	}
-	if err := s.ScoreBatch(make([]float64, 2), randomVecs(3, 32, 9)); !errors.Is(err, score.ErrModel) {
-		t.Errorf("dst mismatch: %v", err)
-	}
-	if err := s.ScoreBatch(make([]float64, 1), [][]float64{make([]float64, 30)}); !errors.Is(err, score.ErrModel) {
-		t.Errorf("bad batch vector: %v", err)
 	}
 }
 

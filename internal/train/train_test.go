@@ -277,3 +277,59 @@ func TestChunksCoversRange(t *testing.T) {
 		}
 	}
 }
+
+// TestEMFitGoldenBits pins every bit of one small fit's weights, means
+// and covariances (in that order, flat). Its two components overlap, so every responsibility
+// lies strictly inside (0, 1), and a last-bit change in any sample's
+// Mahalanobis term, one lane of the eight-lane E-step included, moves
+// the fitted model instead of rounding away as it does on the well
+// separated testData clusters. Any drift means the E-step's or M-step's
+// arithmetic order changed.
+func TestEMFitGoldenBits(t *testing.T) {
+	golden := []uint64{
+		0x3fd7eb6d38fda06b, // 0.37374430242062456
+		0x3fe40a4963812fcc, // 0.6262556975793756
+		0xbfac182170d78580, // -0.05487160208191266
+		0xbfd4927691794ed6, // -0.32143940168792307
+		0xbfd248ec97f114da, // -0.28570093954142595
+		0x3fe71f12b4d37f21, // 0.7225430995713148
+		0xbfcfc64ae41a6511, // -0.2482389081749621
+		0xbf87091fc575a3c4, // -0.011247871602522504
+		0x3fe0f0b274262203, // 0.5293819683584505
+		0xbfe518a7e061dd5d, // -0.6592597372499928
+		0xbfd11d88995673a2, // -0.26742758726487115
+		0xbfe518a7e061dd5c, // -0.6592597372499927
+		0x3ff1b34fb3557fac, // 1.1062771802171296
+		0x3fc67a038c0c351b, // 0.17559856737390409
+		0xbfd11d88995673a2, // -0.26742758726487115
+		0x3fc67a038c0c351b, // 0.17559856737390409
+		0x3fe4f957347e4eaa, // 0.6554370904218179
+		0x3ffac801fef5a7de, // 1.6738300284728136
+		0x3fe0c827ac59e63c, // 0.5244329801782395
+		0xbfc651a316dd3e3d, // -0.17436636558930899
+		0x3fe0c827ac59e63c, // 0.5244329801782395
+		0x3ff3841c5f18f9c0, // 1.2197536196468803
+		0xbfd2344b2318973a, // -0.2844417422041833
+		0xbfc651a316dd3e3b, // -0.17436636558930893
+		0xbfd2344b2318973a, // -0.2844417422041833
+		0x3ff0227fa1e86736, // 1.0084225010418328
+	}
+	rng := rand.New(rand.NewSource(3))
+	data := make([][]float64, 32)
+	for i := range data {
+		data[i] = []float64{rng.NormFloat64() + float64(i%2), rng.NormFloat64(), rng.NormFloat64()}
+	}
+	m, err := EMFit(data, [][]float64{data[0], data[1]}, EMConfig{K: 2, MaxIter: 20, Reg: 1e-6, InitVar: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(append(append([]float64(nil), m.Weights...), m.Means...), m.Covs...)
+	if len(got) != len(golden) {
+		t.Fatalf("%d fitted values, %d golden", len(got), len(golden))
+	}
+	for i, v := range got {
+		if math.Float64bits(v) != golden[i] {
+			t.Errorf("fitted value %d = %v (bits %#016x), golden %#016x", i, v, math.Float64bits(v), golden[i])
+		}
+	}
+}
