@@ -117,6 +117,12 @@ func checkThresholds(kind string, ths []Threshold) error {
 	return nil
 }
 
+// sortThresholds orders ths by P ascending, the order Detector
+// documents for both of its threshold lists.
+func sortThresholds(ths []Threshold) {
+	sort.Slice(ths, func(i, j int) bool { return ths[i].P < ths[j].P })
+}
+
 // Detector is a trained memory-behaviour model.
 type Detector struct {
 	// Region is the heat-map definition the model expects.
@@ -217,7 +223,7 @@ func Train(trainSet, calib []*heatmap.HeatMap, cfg Config) (*Detector, error) {
 		}
 		d.Thresholds = append(d.Thresholds, Threshold{P: p, Theta: theta})
 	}
-	sort.Slice(d.Thresholds, func(i, j int) bool { return d.Thresholds[i].P < d.Thresholds[j].P })
+	sortThresholds(d.Thresholds)
 
 	if len(cfg.ResidualQuantiles) > 0 {
 		residuals := make([]float64, len(calib))
@@ -235,9 +241,7 @@ func Train(trainSet, calib []*heatmap.HeatMap, cfg Config) (*Detector, error) {
 			}
 			d.ResidualThresholds = append(d.ResidualThresholds, Threshold{P: p, Theta: theta})
 		}
-		sort.Slice(d.ResidualThresholds, func(i, j int) bool {
-			return d.ResidualThresholds[i].P < d.ResidualThresholds[j].P
-		})
+		sortThresholds(d.ResidualThresholds)
 	}
 	return d, nil
 }
@@ -262,7 +266,7 @@ func NewDetector(region heatmap.Def, pcaModel *pca.Model, gmmModel *gmm.Model, t
 	d := &Detector{Region: region, PCA: pcaModel, GMM: gmmModel, scoring: rt}
 	if len(thresholds) > 0 {
 		d.Thresholds = append([]Threshold(nil), thresholds...)
-		sort.Slice(d.Thresholds, func(i, j int) bool { return d.Thresholds[i].P < d.Thresholds[j].P })
+		sortThresholds(d.Thresholds)
 	}
 	return d, nil
 }
@@ -516,7 +520,8 @@ func (d *Detector) Save(w io.Writer) error {
 // Load reads a detector produced by Save. It fails, like Train and
 // NewDetector, when the models do not fuse with each other or with the
 // region, and, like NewDetector, on a threshold or residual threshold
-// with a P outside (0, 1), a repeated P or a NaN θ.
+// with a P outside (0, 1), a repeated P or a NaN θ. Like NewDetector it
+// sorts both threshold lists by P, whatever order the file holds.
 func Load(r io.Reader) (*Detector, error) {
 	var dj detectorJSON
 	if err := json.NewDecoder(r).Decode(&dj); err != nil {
@@ -543,6 +548,8 @@ func Load(r io.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
+	sortThresholds(dj.Thresholds)
+	sortThresholds(dj.ResidualThresholds)
 	return &Detector{
 		Region:             dj.Region,
 		PCA:                pcaModel,

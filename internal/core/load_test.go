@@ -127,6 +127,36 @@ func TestLoadRejectsBadThresholds(t *testing.T) {
 	}
 }
 
+// TestLoadSortsThresholds: a file that lists its thresholds out of
+// order, {0.01, 0.005}, loads with both lists sorted by P ascending, as
+// Detector documents and NewDetector produces, and each θ stays paired
+// with its P.
+func TestLoadSortsThresholds(t *testing.T) {
+	dj := savedDetector(t)
+	dj.Thresholds = []Threshold{{P: 0.01, Theta: -40}, {P: 0.005, Theta: -50}}
+	dj.ResidualThresholds = []Threshold{{P: 0.01, Theta: 2}, {P: 0.005, Theta: 3}}
+	d, err := Load(bytes.NewReader(encodeDetector(t, dj)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Threshold{{P: 0.005, Theta: -50}, {P: 0.01, Theta: -40}}
+	wantResidual := []Threshold{{P: 0.005, Theta: 3}, {P: 0.01, Theta: 2}}
+	if fmt.Sprint(d.Thresholds) != fmt.Sprint(want) || fmt.Sprint(d.ResidualThresholds) != fmt.Sprint(wantResidual) {
+		t.Fatalf("loaded thresholds %v and residual thresholds %v, want %v and %v",
+			d.Thresholds, d.ResidualThresholds, want, wantResidual)
+	}
+	for _, th := range want {
+		if theta, err := d.Threshold(th.P); err != nil || theta != th.Theta {
+			t.Errorf("Threshold(%g) = %g, %v; want %g", th.P, theta, err, th.Theta)
+		}
+	}
+	for _, th := range wantResidual {
+		if theta, err := d.ResidualThreshold(th.P); err != nil || theta != th.Theta {
+			t.Errorf("ResidualThreshold(%g) = %g, %v; want %g", th.P, theta, err, th.Theta)
+		}
+	}
+}
+
 // brokenThresholdRule names the first threshold rule ths breaks — every
 // P in (0, 1), no P twice, no NaN θ — or returns "".
 func brokenThresholdRule(ths []Threshold) string {

@@ -30,13 +30,17 @@ func EigenSym(a *Matrix) (*Eigen, error) {
 	}
 	n := a.rows
 	w := a.Clone() // working copy, driven to diagonal
-	v := Identity(n)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = w.Row(i)
+	}
+	vt := Identity(n) // Vᵀ: row j accumulates eigenvector j
 
 	offDiag := func() float64 {
 		s := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				s += w.At(i, j) * w.At(i, j)
+		for i, row := range rows {
+			for _, x := range row[i+1:] {
+				s += x * x
 			}
 		}
 		return s
@@ -49,13 +53,15 @@ func EigenSym(a *Matrix) (*Eigen, error) {
 			break
 		}
 		for p := 0; p < n-1; p++ {
+			wp, vp := rows[p], vt.Row(p)
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
+				apq := wp[q]
 				if math.Abs(apq) <= 1e-300 {
 					continue
 				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
+				wq, vq := rows[q], vt.Row(q)
+				app := wp[p]
+				aqq := wq[q]
 				// Rotation angle per Golub & Van Loan.
 				theta := (aqq - app) / (2 * apq)
 				var t float64
@@ -67,54 +73,52 @@ func EigenSym(a *Matrix) (*Eigen, error) {
 				c := 1 / math.Sqrt(1+t*t)
 				s := t * c
 
-				// Apply rotation J(p,q,θ) on both sides of w.
-				for k := 0; k < n; k++ {
-					wkp := w.At(k, p)
-					wkq := w.At(k, q)
-					w.Set(k, p, c*wkp-s*wkq)
-					w.Set(k, q, s*wkp+c*wkq)
+				// Apply rotation J(p,q,θ) on both sides of w: columns p
+				// and q of every row, then rows p and q.
+				for _, wk := range rows {
+					wkp, wkq := wk[p], wk[q]
+					wk[p] = c*wkp - s*wkq
+					wk[q] = s*wkp + c*wkq
 				}
-				for k := 0; k < n; k++ {
-					wpk := w.At(p, k)
-					wqk := w.At(q, k)
-					w.Set(p, k, c*wpk-s*wqk)
-					w.Set(q, k, s*wpk+c*wqk)
+				for k, wpk := range wp {
+					wqk := wq[k]
+					wp[k] = c*wpk - s*wqk
+					wq[k] = s*wpk + c*wqk
 				}
-				// Accumulate eigenvectors.
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+				// Accumulate eigenvectors: columns p and q of V are rows
+				// p and q of Vᵀ.
+				for k, vkp := range vp {
+					vkq := vq[k]
+					vp[k] = c*vkp - s*vkq
+					vq[k] = s*vkp + c*vkq
 				}
 			}
 		}
 	}
 
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = w.At(i, i)
+	diag := make([]float64, n)
+	for i, row := range rows {
+		diag[i] = row[i]
 	}
-	sortEigen(vals, v)
+	vals := make([]float64, n)
+	v := New(n, n)
+	for j, from := range decreasing(diag) {
+		vals[j] = diag[from]
+		for i, x := range vt.Row(from) {
+			v.Set(i, j, x)
+		}
+	}
 	return &Eigen{Values: vals, Vectors: v}, nil
 }
 
-// sortEigen reorders eigenvalues in decreasing order, permuting the
-// columns of v to match.
-func sortEigen(vals []float64, v *Matrix) {
-	n := len(vals)
-	idx := make([]int, n)
+// decreasing returns the permutation that sorts vals into decreasing
+// order, equal values kept in index order: entry j is the index of the
+// value that goes to position j.
+func decreasing(vals []float64) []int {
+	idx := make([]int, len(vals))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
-
-	oldVals := append([]float64(nil), vals...)
-	oldV := v.Clone()
-	for newJ, oldJ := range idx {
-		vals[newJ] = oldVals[oldJ]
-		for i := 0; i < v.rows; i++ {
-			v.Set(i, newJ, oldV.At(i, oldJ))
-		}
-	}
+	return idx
 }

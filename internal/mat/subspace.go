@@ -312,24 +312,37 @@ func EigenSymTopK(op SymOp, k int, opts TopKOptions) (*Eigen, error) {
 
 // startBlock returns the orthonormalized start block: b rows of length
 // n, the leading ones copied from the columns of opts.Init and the rest
-// drawn from the seeded generator.
+// drawn from the seeded generator. The copied (warm) rows are read row
+// by row from Init, and the coordinates where any of them is not
+// exactly +0 are listed: a warm start from a model fitted on a support
+// is zero everywhere else, and Gram–Schmidt runs every step against a
+// warm row over that list alone (gramSchmidt). A non-finite warm entry
+// sends the whole block down the dense sweep.
 func startBlock(n, b int, opts TopKOptions) ([][]float64, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	// Block of b column vectors, stored as rows of q (b x n) for locality.
 	q := newBlock(b, n)
-	warm := 0
+	warm, sparse := 0, 0
+	var cells []int
 	if opts.Init != nil {
 		if opts.Init.Rows() != n {
 			return nil, fmt.Errorf("mat: EigenSymTopK: Init has %d rows, operator dim %d: %w", opts.Init.Rows(), n, ErrShape)
 		}
-		warm = opts.Init.Cols()
-		if warm > b {
-			warm = b
-		}
-		for i := 0; i < warm; i++ {
-			for j := range q[i] {
-				q[i][j] = opts.Init.At(j, i)
+		warm = min(opts.Init.Cols(), b)
+		finite := true
+		for j := 0; j < n; j++ {
+			on := false
+			for i, x := range opts.Init.Row(j)[:warm] {
+				q[i][j] = x
+				on = on || math.Float64bits(x) != 0
+				finite = finite && IsFinite(x)
 			}
+			if on {
+				cells = append(cells, j)
+			}
+		}
+		if finite {
+			sparse = warm
 		}
 	}
 	for _, row := range q[warm:] {
@@ -337,7 +350,7 @@ func startBlock(n, b int, opts TopKOptions) ([][]float64, error) {
 			row[j] = rng.NormFloat64()
 		}
 	}
-	if err := orthonormalizeRows(q, true); err != nil {
+	if err := gramSchmidt(q, sparse, cells, true); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -411,7 +424,7 @@ func iterate(op SymOp, q [][]float64, k int, opts TopKOptions, support []int, n 
 				}
 			}
 		}
-		if err := orthonormalizeRows(next, !restricted); err != nil {
+		if err := gramSchmidt(next, 0, nil, !restricted); err != nil {
 			return nil, err
 		}
 		q, next = next, q
@@ -435,48 +448,72 @@ func iterate(op SymOp, q [][]float64, k int, opts TopKOptions, support []int, n 
 		}
 	}
 
-	// Final Rayleigh quotients and vectors for the leading k pairs.
+	// Final Rayleigh quotients for the leading k pairs. They can come
+	// out of order by tiny amounts, so the pairs are sorted before their
+	// vectors are scattered into the n×k result.
 	applyBlock(op, z[:k], q[:k], blockParts(k, opts.Parallel))
-	ritzVecs := New(n, k)
-	vals := make([]float64, k)
+	ritz := make([]float64, k)
 	for c, row := range q[:k] {
-		vals[c] = Dot(row, z[c])
-		if restricted && !IsFinite(vals[c]) {
+		ritz[c] = Dot(row, z[c])
+		if restricted && !IsFinite(ritz[c]) {
 			return nil, errRestricted
 		}
-		for i, v := range row {
+	}
+	vals := make([]float64, k)
+	vecs := New(n, k)
+	for c, from := range decreasing(ritz) {
+		vals[c] = ritz[from]
+		for i, v := range q[from] {
 			j := i
 			if restricted {
 				j = support[i]
 			}
-			ritzVecs.Set(j, c, v)
+			vecs.Set(j, c, v)
 		}
 	}
-	// The Ritz pairs can come out of order by tiny amounts; sort.
-	sortEigen(vals, ritzVecs)
-	return &Eigen{Values: vals, Vectors: ritzVecs}, nil
+	return &Eigen{Values: vals, Vectors: vecs}, nil
 }
 
-// orthonormalizeRows applies modified Gram-Schmidt to the rows of q in
-// place. With replace set, rows that collapse to (near) zero are
-// replaced by fresh random directions orthogonal to the earlier rows;
-// this keeps subspace iteration full-rank when the operator has low
-// numerical rank. Without it a collapse returns errRestricted.
-func orthonormalizeRows(q [][]float64, replace bool) error {
+// gramSchmidt applies modified Gram-Schmidt to the rows of q in place.
+// The leading sparse rows are exactly +0 off the ascending coordinate
+// list cells, and every step against one of them runs over that list
+// alone: the dot product and axpy of a later row, and the row's own
+// normalization. That is bit-identical to the full-length step
+// (DESIGN.md §14.2). Off the list such a row contributes ±0 products,
+// which leave a dot accumulator unchanged (it starts at +0 and never
+// becomes −0) and leave an axpy target that is not −0 unchanged.
+//
+// With replace set, rows that collapse to (near) zero are replaced by
+// fresh random directions orthogonal to the earlier rows; this keeps
+// subspace iteration full-rank when the operator has low numerical
+// rank. A replaced row is dense, and so is every row after it. Without
+// replace a collapse returns errRestricted.
+func gramSchmidt(q [][]float64, sparse int, cells []int, replace bool) error {
 	var rng *rand.Rand // seeded at the first collapse: most calls never draw
+	scratch := make([]float64, len(cells))
 	for i, ri := range q {
 		for attempt := 0; ; attempt++ {
-			for _, rj := range q[:i] {
-				Axpy(-Dot(ri, rj), rj, ri)
+			for j, rj := range q[:i] {
+				if j < sparse {
+					axpyOn(-dotOn(ri, rj, cells), rj, ri, cells)
+				} else {
+					Axpy(-Dot(ri, rj), rj, ri)
+				}
 			}
-			if Normalize(ri) > 1e-12 {
+			var norm float64
+			if i < sparse {
+				norm = normalizeOn(ri, cells, scratch)
+			} else {
+				norm = Normalize(ri)
+			}
+			if norm > 1e-12 {
 				break
 			}
 			if !replace {
 				return errRestricted
 			}
 			if attempt >= 5 {
-				return fmt.Errorf("mat: orthonormalizeRows: row %d keeps collapsing: %w", i, ErrSingular)
+				return fmt.Errorf("mat: gramSchmidt: row %d keeps collapsing: %w", i, ErrSingular)
 			}
 			if rng == nil {
 				rng = rand.New(rand.NewSource(42))
@@ -484,7 +521,41 @@ func orthonormalizeRows(q [][]float64, replace bool) error {
 			for k := range ri {
 				ri[k] = rng.NormFloat64()
 			}
+			sparse = min(sparse, i)
 		}
 	}
 	return nil
+}
+
+// dotOn is Dot(a, b) for b exactly +0 off cells.
+func dotOn(a, b []float64, cells []int) float64 {
+	s := 0.0
+	for _, c := range cells {
+		s += a[c] * b[c]
+	}
+	return s
+}
+
+// axpyOn is Axpy(s, x, y) for x exactly +0 off cells and y not −0
+// there.
+func axpyOn(s float64, x, y []float64, cells []int) {
+	for _, c := range cells {
+		y[c] += s * x[c]
+	}
+}
+
+// normalizeOn is Normalize(v) for v exactly +0 off cells: the listed
+// entries are gathered into scratch (of len(cells)), normalized and
+// scattered back. Off the list the full-length Normalize scales +0 by
+// 1/norm, which is +0 unless the row collapses, and a collapsed row is
+// redrawn whole.
+func normalizeOn(v []float64, cells []int, scratch []float64) float64 {
+	for t, c := range cells {
+		scratch[t] = v[c]
+	}
+	norm := Normalize(scratch)
+	for t, c := range cells {
+		v[c] = scratch[t]
+	}
+	return norm
 }

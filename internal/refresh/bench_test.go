@@ -115,3 +115,30 @@ func BenchmarkDeviceRefreshIncremental(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDeviceRefreshFull times the full rebuild (pca.Train and
+// gmm.Train from scratch over the window, then θ recalibration) on the
+// device-shaped window of BenchmarkDeviceRefreshIncremental. With
+// RebuildEvery: 1 the refreshes alternate between the two paths; each
+// op runs the incremental one untimed and then times the full one.
+func BenchmarkDeviceRefreshFull(b *testing.B) {
+	det := deviceDetector(b)
+	r := newRefresher(b, det, Config{Window: 192, Holdout: 64, RebuildEvery: 1, DriftThreshold: 1e12, Workers: 2})
+	feedDevice(b, r, det, 0, 300)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if res, err := r.Refresh(); err != nil || res.FullRebuild {
+			b.Fatalf("untimed refresh: err %v, want the incremental path", err)
+		}
+		b.StartTimer()
+		res, err := r.Refresh()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.FullRebuild {
+			b.Fatal("refresh took the incremental path")
+		}
+	}
+}
