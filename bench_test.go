@@ -519,7 +519,7 @@ func benchCoreTrain(b *testing.B, workers int, parallel bool) {
 	trainFixtures(b)
 	cfg := core.Config{
 		PCA:     pca.Options{Components: 9, Parallel: parallel},
-		GMM:     gmm.Options{Components: 5, Restarts: 10, Parallel: parallel, Seed: 1},
+		GMM:     gmm.Options{Components: 5, Restarts: 10, Seed: 1},
 		Workers: workers,
 	}
 	b.ResetTimer()
@@ -535,8 +535,8 @@ func benchCoreTrain(b *testing.B, workers int, parallel bool) {
 func BenchmarkCoreTrainSerial(b *testing.B) { benchCoreTrain(b, 1, false) }
 
 // BenchmarkCoreTrainParallel runs the identical (bit-identical) build
-// with the engine fanned out over GOMAXPROCS workers and parallel
-// restarts.
+// with GOMAXPROCS workers: the PCA build and projection fan out, and
+// the EM restarts run side by side.
 func BenchmarkCoreTrainParallel(b *testing.B) { benchCoreTrain(b, runtime.GOMAXPROCS(0), true) }
 
 // benchPCATrain times the eigenmemory stage (tiled mean/Φ/variance

@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"github.com/memheatmap/mhm/internal/attack"
 	"github.com/memheatmap/mhm/internal/core"
@@ -52,7 +53,7 @@ func scaleByName(name string) (experiments.Scale, error) {
 		s.TrainRunMicros = 2_000_000
 		s.CalibRunMicros = 2_000_000
 		s.PCAOptions = pca.Options{VarianceFraction: 0.9999, MaxComponents: 24, Parallel: true}
-		s.GMMOptions = gmm.Options{Components: 5, Restarts: 5, Parallel: true}
+		s.GMMOptions = gmm.Options{Components: 5, Restarts: 5, Workers: runtime.GOMAXPROCS(0)}
 		return s, nil
 	default:
 		return experiments.Scale{}, fmt.Errorf("unknown scale %q", name)

@@ -55,10 +55,11 @@ type Config struct {
 	// projection alone cannot see. Empty disables the extension.
 	ResidualQuantiles []float64
 	// Workers bounds the goroutines the training engine uses in every
-	// stage — the PCA mean/Φ build, each EM restart, and the batch
-	// projection of training vectors. It seeds PCA.Workers and
-	// GMM.Workers when those are unset. Trained detectors are
-	// bit-identical for every worker count; zero means serial.
+	// stage — the PCA mean/Φ build, the batch projection of training
+	// vectors, and the EM restarts, which run side by side while each
+	// fit stays on one goroutine. It seeds PCA.Workers and GMM.Workers
+	// when those are unset. Trained detectors are bit-identical for
+	// every worker count; zero means serial.
 	Workers int
 }
 

@@ -8,6 +8,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"github.com/memheatmap/mhm/internal/attack"
 	"github.com/memheatmap/mhm/internal/cache"
@@ -56,7 +57,7 @@ func PaperScale() Scale {
 		IntervalMicros: 10_000,
 		Gran:           2048,
 		PCAOptions:     pca.Options{VarianceFraction: 0.9999, Parallel: true},
-		GMMOptions:     gmm.Options{Components: 5, Restarts: 10, Parallel: true},
+		GMMOptions:     gmm.Options{Components: 5, Restarts: 10, Workers: runtime.GOMAXPROCS(0)},
 		Quantiles:      []float64{0.005, 0.01},
 	}
 }
@@ -71,7 +72,7 @@ func QuickScale() Scale {
 		IntervalMicros: 10_000,
 		Gran:           2048,
 		PCAOptions:     pca.Options{VarianceFraction: 0.9999, MaxComponents: 16, Parallel: true},
-		GMMOptions:     gmm.Options{Components: 5, Restarts: 3, Parallel: true},
+		GMMOptions:     gmm.Options{Components: 5, Restarts: 3, Workers: runtime.GOMAXPROCS(0)},
 		Quantiles:      []float64{0.005, 0.01},
 	}
 }

@@ -104,12 +104,11 @@ func (l *Lab) TrainingThroughput(seedBase int64, repeats int) (*TrainingThroughp
 			Quantiles: l.Scale.Quantiles,
 		}
 		cfg.PCA.Parallel = parallel
-		cfg.GMM.Parallel = parallel
+		cfg.Workers = 1
 		if parallel {
 			cfg.Workers = workers
-		} else {
-			cfg.Workers = 1
 		}
+		cfg.GMM.Workers = cfg.Workers
 		return cfg
 	}
 
@@ -175,7 +174,6 @@ func (l *Lab) TrainingThroughput(seedBase int64, repeats int) (*TrainingThroughp
 		return nil, err
 	}
 	gmmOpts := l.Scale.GMMOptions
-	gmmOpts.Parallel = false
 	gmmOpts.Workers = 1
 	gmmSerial, err := timeStage(repeats, func() error {
 		_, err := gmm.Train(reduced, gmmOpts)
@@ -184,7 +182,6 @@ func (l *Lab) TrainingThroughput(seedBase int64, repeats int) (*TrainingThroughp
 	if err != nil {
 		return nil, err
 	}
-	gmmOpts.Parallel = true
 	gmmOpts.Workers = workers
 	gmmParallel, err := timeStage(repeats, func() error {
 		_, err := gmm.Train(reduced, gmmOpts)

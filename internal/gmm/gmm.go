@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sync"
 
 	"github.com/memheatmap/mhm/internal/mat"
 	"github.com/memheatmap/mhm/internal/train"
@@ -148,15 +147,12 @@ type Options struct {
 	Reg float64
 	// Seed drives initialization (default 1).
 	Seed int64
-	// Parallel runs the restarts on separate goroutines. Results are
-	// identical to the serial run: each restart derives its own RNG from
-	// (Seed, restart index).
-	Parallel bool
-	// Workers bounds the goroutines the training engine uses inside each
-	// restart (blocked E-step sample chunks, per-component M-step).
-	// Values below 1 mean serial. Fits are bit-identical for every
-	// worker count, so Workers trades only wall-clock; combine with
-	// Parallel when Restarts alone cannot saturate the machine.
+	// Workers bounds the goroutines that run restarts side by side:
+	// min(Workers, Restarts) of them, while each EM fit runs on one
+	// goroutine. Values below 1 mean serial. Each restart draws from
+	// its own generator, derived from (Seed, restart index), and the
+	// best is picked in ascending restart order, so models are
+	// bit-identical for every value.
 	Workers int
 }
 
@@ -180,7 +176,8 @@ func (o *Options) fill() error {
 }
 
 // Train fits a mixture to data by EM with k-means++ style seeding,
-// returning the restart with the highest training log-likelihood.
+// returning the restart with the highest training log-likelihood; the
+// first such restart wins a tie.
 //
 //mhm:deterministic
 func Train(data [][]float64, opts Options) (*Model, error) {
@@ -212,34 +209,20 @@ func Train(data [][]float64, opts Options) (*Model, error) {
 		}
 	}
 
-	// Each restart gets its own deterministic RNG so serial and parallel
-	// execution produce identical models.
+	// Each restart draws from its own generator and writes only its own
+	// slot, so every assignment of restarts to goroutines yields the
+	// same attempts.
 	type attempt struct {
 		m   *Model
 		ll  float64
 		err error
 	}
 	attempts := make([]attempt, opts.Restarts)
-	runOne := func(r int) {
+	train.Chunks(opts.Restarts, 1, opts.Workers, func(r, _, _ int) {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*0x9E3779B9))
-		m, ll, err := emOnce(data, opts.Components, opts.MaxIter, opts.Tol, reg, opts.Workers, rng)
+		m, ll, err := emOnce(data, opts.Components, opts.MaxIter, opts.Tol, reg, rng)
 		attempts[r] = attempt{m: m, ll: ll, err: err}
-	}
-	if opts.Parallel {
-		var wg sync.WaitGroup
-		for r := 0; r < opts.Restarts; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				runOne(r)
-			}(r)
-		}
-		wg.Wait()
-	} else {
-		for r := 0; r < opts.Restarts; r++ {
-			runOne(r)
-		}
-	}
+	})
 	var best *Model
 	bestLL := math.Inf(-1)
 	var lastErr error
@@ -361,14 +344,15 @@ func kmeansSeed(data [][]float64, k int, rng *rand.Rand) [][]float64 {
 }
 
 // emOnce runs one EM fit from a fresh initialization through the
-// internal/train engine: k-means++ seeding here, then the blocked
-// E-step / per-component M-step loop with all scratch preallocated once
-// for the restart. The fit is bit-identical to the historical staged
-// loop (which evaluated every component density twice per sample — see
-// the regression test), except when a dead component is re-seeded: the
-// engine picks the worst-modeled sample from the E-step's own
-// log-likelihoods instead of rescanning against a half-updated model.
-func emOnce(data [][]float64, k, maxIter int, tol, reg float64, workers int, rng *rand.Rand) (*Model, float64, error) {
+// internal/train engine on the calling goroutine: k-means++ seeding
+// here, then the blocked E-step / per-component M-step loop with all
+// scratch preallocated once for the restart. The fit is bit-identical
+// to the historical staged loop (which evaluated every component
+// density twice per sample — see the regression test), except when a
+// dead component is re-seeded: the engine picks the worst-modeled
+// sample from the E-step's own log-likelihoods instead of rescanning
+// against a half-updated model.
+func emOnce(data [][]float64, k, maxIter int, tol, reg float64, rng *rand.Rand) (*Model, float64, error) {
 	means := kmeansSeed(data, k, rng)
 
 	// Initial covariances: shared spherical from overall variance.
@@ -382,7 +366,6 @@ func emOnce(data [][]float64, k, maxIter int, tol, reg float64, workers int, rng
 		Tol:     tol,
 		Reg:     reg,
 		InitVar: v,
-		Workers: workers,
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("gmm: component covariance: %w", err)

@@ -25,9 +25,6 @@ type RefitOptions struct {
 	// Reg is the diagonal covariance regularization (default derived
 	// from the data variance, as in Train).
 	Reg float64
-	// Workers bounds the goroutines inside the fit; fits are
-	// bit-identical for every value.
-	Workers int
 }
 
 // Refit warm-starts EM from prev over data and returns the refreshed
@@ -79,7 +76,6 @@ func Refit(data [][]float64, prev *Model, opts RefitOptions) (*Model, error) {
 		MaxIter:   opts.MaxIter,
 		Tol:       1e-6,
 		Reg:       reg,
-		Workers:   opts.Workers,
 		Warm:      warm,
 		BatchSize: opts.BatchSize,
 	})

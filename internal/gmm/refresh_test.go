@@ -55,41 +55,6 @@ func TestRefitTracksDriftedWindow(t *testing.T) {
 	}
 }
 
-// TestRefitDeterministicAcrossWorkers pins the bit-identity contract,
-// including the mini-batch path.
-func TestRefitDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	data, _ := sampleMixture(rng, 700, refitCenters(), 0.7)
-	prev, err := Train(data, Options{Components: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	window, _ := sampleMixture(rng, 700, refitCenters(), 0.7)
-	for _, batch := range []int{0, 256} {
-		base, err := Refit(window, prev, RefitOptions{BatchSize: batch, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8} {
-			got, err := Refit(window, prev, RefitOptions{BatchSize: batch, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range base.Components {
-				bc, gc := &base.Components[j], &got.Components[j]
-				if math.Float64bits(bc.Weight) != math.Float64bits(gc.Weight) {
-					t.Fatalf("batch=%d workers=%d: weight[%d] differs", batch, workers, j)
-				}
-				for i := range bc.Mean {
-					if math.Float64bits(bc.Mean[i]) != math.Float64bits(gc.Mean[i]) {
-						t.Fatalf("batch=%d workers=%d: mean[%d][%d] differs", batch, workers, j, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRefitRejectsBadInput checks validation: nil model, empty window,
 // dimension mismatch.
 func TestRefitRejectsBadInput(t *testing.T) {

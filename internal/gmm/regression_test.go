@@ -1,6 +1,7 @@
 package gmm
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,7 +200,7 @@ func TestEngineMatchesStagedFit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("staged fit (n=%d d=%d k=%d seed=%d): %v", tc.n, tc.d, tc.k, emSeed, err)
 			}
-			got, gotLL, err := emOnce(data, tc.k, 50, 1e-6, 1e-6, 0, rand.New(rand.NewSource(emSeed)))
+			got, gotLL, err := emOnce(data, tc.k, 50, 1e-6, 1e-6, rand.New(rand.NewSource(emSeed)))
 			if err != nil {
 				t.Fatalf("engine fit (n=%d d=%d k=%d seed=%d): %v", tc.n, tc.d, tc.k, emSeed, err)
 			}
@@ -208,33 +209,42 @@ func TestEngineMatchesStagedFit(t *testing.T) {
 	}
 }
 
-// TestTrainWorkersBitIdentical verifies the engine's determinism
-// contract end to end: gmm.Train produces bitwise-equal models for
-// every in-restart worker count, serial and restart-parallel alike.
+// TestTrainWorkersBitIdentical is the restart-schedule test: the
+// restarts run on min(Workers, Restarts) goroutines, each writing its
+// own result slot, and every schedule must save to the serial fit's
+// bytes.
 func TestTrainWorkersBitIdentical(t *testing.T) {
-	data := blobs(300, 6, 4, 11)
-	base, err := Train(data, Options{Components: 4, Restarts: 3, Seed: 5, MaxIter: 60, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	requireRestartSchedule(t, blobs(300, 6, 4, 11), Options{Components: 4, Seed: 5, MaxIter: 60})
+}
+
+// requireRestartSchedule trains data at Restarts 1, 2, 3 and 10 —
+// below, equal to and above the worker counts — at Workers 0, 1, 2, 3
+// and 8, and fails unless every fit saves to the same bytes as the
+// serial fit (Workers 1) with the same restarts.
+func requireRestartSchedule(t *testing.T, data [][]float64, opts Options) {
+	t.Helper()
+	save := func(o Options) []byte {
+		t.Helper()
+		m, err := Train(data, o)
+		if err != nil {
+			t.Fatalf("restarts=%d workers=%d: %v", o.Restarts, o.Workers, err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	baseLL, err := base.TotalLogLikelihood(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 3, 8} {
-		for _, parallel := range []bool{false, true} {
-			m, err := Train(data, Options{
-				Components: 4, Restarts: 3, Seed: 5, MaxIter: 60,
-				Workers: workers, Parallel: parallel,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d parallel=%v: %v", workers, parallel, err)
+	for _, restarts := range []int{1, 2, 3, 10} {
+		opts.Restarts = restarts
+		opts.Workers = 1
+		want := save(opts)
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			opts.Workers = workers
+			if got := save(opts); !bytes.Equal(got, want) {
+				t.Fatalf("restarts=%d workers=%d: saved model differs from the serial fit:\n%s\nwant\n%s",
+					restarts, workers, got, want)
 			}
-			ll, err := m.TotalLogLikelihood(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameFit(t, "worker-count variant", base, m, baseLL, ll)
 		}
 	}
 }

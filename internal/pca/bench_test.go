@@ -53,9 +53,7 @@ func benchRefresh(b *testing.B, set, drifted [][]float64, lp int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sk.Update(drifted); err != nil {
-		b.Fatal(err)
-	}
+	pushAll(b, sk, drifted)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -85,12 +85,8 @@ func TestPCARefreshGoldenBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sk.Update(set[:40]); err != nil {
-			t.Fatal(err)
-		}
-		if err := sk.Update(drifted); err != nil {
-			t.Fatal(err)
-		}
+		pushAll(t, sk, set[:40])
+		pushAll(t, sk, drifted)
 		for _, parallel := range []bool{false, true} {
 			m, err := Refresh(prev, sk, RefreshOptions{Parallel: parallel})
 			if err != nil {
@@ -189,12 +185,8 @@ func TestPCARefreshDriftedMeanGoldenBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sk.Update(first); err != nil {
-			t.Fatal(err)
-		}
-		if err := sk.Update(second); err != nil {
-			t.Fatal(err)
-		}
+		pushAll(t, sk, first)
+		pushAll(t, sk, second)
 		residue := 0
 		for _, c := range early {
 			if !mat.IsZero(sk.Mean()[c]) {

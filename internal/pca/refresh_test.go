@@ -9,6 +9,23 @@ import (
 	"github.com/memheatmap/mhm/internal/train"
 )
 
+// pushAll feeds the samples to sk one Update at a time, each with the
+// list of its cells that are not ±0.
+func pushAll(tb testing.TB, sk *train.Centered, samples [][]float64) {
+	tb.Helper()
+	for _, v := range samples {
+		var cells []int32
+		for i, x := range v {
+			if !mat.IsZero(x) {
+				cells = append(cells, int32(i))
+			}
+		}
+		if err := sk.Update(v, cells); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // TestRefreshMatchesTrainOnSameWindow refreshes over the exact window a
 // cold Train saw and checks the recovered subspace agrees: same L',
 // matching eigenvalues, aligned eigenvectors (up to sign).
@@ -23,9 +40,7 @@ func TestRefreshMatchesTrainOnSameWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sk.Update(set); err != nil {
-		t.Fatal(err)
-	}
+	pushAll(t, sk, set)
 	got, err := Refresh(prev, sk, RefreshOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +78,7 @@ func TestRefreshTracksDriftedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sk.Update(drifted); err != nil {
-		t.Fatal(err)
-	}
+	pushAll(t, sk, drifted)
 	cold, err := Train(drifted, Options{Components: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +107,7 @@ func TestRefreshDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sk.Update(drifted); err != nil {
-		t.Fatal(err)
-	}
+	pushAll(t, sk, drifted)
 	base, err := Refresh(prev, sk, RefreshOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +142,7 @@ func TestRefreshRejectsThinWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sk.Update(set[:2]); err != nil {
-		t.Fatal(err)
-	}
+	pushAll(t, sk, set[:2])
 	if _, err := Refresh(prev, sk, RefreshOptions{}); err == nil {
 		t.Fatal("refresh over a 2-sample window for L'=4 succeeded")
 	}

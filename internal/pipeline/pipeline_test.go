@@ -206,10 +206,11 @@ func TestPipelineRegionMismatch(t *testing.T) {
 	}
 }
 
-// TestParallelTrainingDeterministic: the Parallel training options that
-// experiments now default to must reproduce the serial model exactly —
-// same eigenmemories, same mixture, same thresholds — so flipping the
-// flag can never shift calibrated behaviour.
+// TestParallelTrainingDeterministic: the parallel training options that
+// experiments default to (Parallel PCA, EM restarts on several workers)
+// must reproduce the serial model exactly — same eigenmemories, same
+// mixture, same thresholds — so the worker count can never shift
+// calibrated behaviour.
 func TestParallelTrainingDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var train, calib []*heatmap.HeatMap
@@ -219,17 +220,17 @@ func TestParallelTrainingDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		calib = append(calib, patternMap(rng, i))
 	}
-	mk := func(parallel bool) *core.Detector {
+	mk := func(workers int) *core.Detector {
 		d, err := core.Train(train, calib, core.Config{
-			PCA: pca.Options{Components: 4, Parallel: parallel},
-			GMM: gmm.Options{Components: 3, Restarts: 2, Parallel: parallel},
+			PCA: pca.Options{Components: 4, Parallel: workers > 1},
+			GMM: gmm.Options{Components: 3, Restarts: 2, Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
-	serial, parallel := mk(false), mk(true)
+	serial, parallel := mk(1), mk(2)
 
 	if !reflect.DeepEqual(serial.Thresholds, parallel.Thresholds) {
 		t.Fatalf("thresholds differ: %+v vs %+v", serial.Thresholds, parallel.Thresholds)

@@ -84,8 +84,11 @@ type Config struct {
 	// RebuildEvery forces a full rebuild every N refreshes regardless of
 	// drift (0 = rebuild only on a drift alarm).
 	RebuildEvery int
-	// Workers bounds goroutines inside the training engines. Results
-	// are bit-identical for every value.
+	// Workers bounds the goroutines of the full rebuild: its EM
+	// restarts run side by side, and pca.Train's build and the sketch
+	// Rebuild split their dimension tiles. Above 1 it also splits the
+	// PCA block apply of both paths. Observe and the warm EM refit run
+	// serially. Results are bit-identical for every value.
 	Workers int
 	// Seed seeds the full-rebuild training paths (default 1).
 	Seed int64
@@ -165,7 +168,7 @@ type Refresher struct {
 	thresholds []core.Threshold
 
 	sketch *train.Centered
-	batch1 [][]float64 // length-1 Update wrapper, reused
+	cells  []int32 // Observe's list of occupied cells, capacity L
 
 	hold     []float64 // Holdout×L ring backing
 	holdN    int
@@ -221,7 +224,7 @@ func New(det *core.Detector, cfg Config) (*Refresher, error) {
 		gmmM:       det.GMM,
 		thresholds: append([]core.Threshold(nil), det.Thresholds...),
 		sketch:     sk,
-		batch1:     make([][]float64, 1),
+		cells:      make([]int32, l),
 		hold:       make([]float64, cfg.Holdout*l),
 		reduced:    make([][]float64, cfg.Window),
 		redBack:    make([]float64, cfg.Window*lp),
@@ -238,19 +241,21 @@ func New(det *core.Detector, cfg Config) (*Refresher, error) {
 // MHM vector and the log density the live model assigned it. Every
 // HoldoutEvery-th interval lands in the held-out calibration ring; the
 // rest update the training sketch. The density drives the drift CUSUM.
-// A vector with a NaN or ±Inf entry is rejected before any state
-// changes: in the holdout it would drag θ_p to −Inf, and in the sketch
-// it would poison the running sums for good. Zero allocations in
-// steady state; v is copied, not retained.
+// One scan lists v's occupied cells; the finiteness check and the
+// sketch update read only those. A vector with a NaN or ±Inf entry is
+// rejected before any state changes: in the holdout it would drag θ_p
+// to −Inf, and in the sketch it would poison the running sums for good.
+// Zero allocations in steady state; v is copied, not retained.
 //
 //mhm:deterministic
 func (r *Refresher) Observe(v []float64, logDensity float64) error {
 	if len(v) != r.l {
 		return fmt.Errorf("refresh: vector length %d, want %d: %w", len(v), r.l, ErrConfig)
 	}
-	for i, x := range v {
-		if !mat.IsFinite(x) {
-			return fmt.Errorf("refresh: vector entry %d is %v: %w", i, x, ErrNonFinite)
+	cells := r.cells[:occupiedCells(r.cells, v)]
+	for _, i := range cells {
+		if !mat.IsFinite(v[i]) {
+			return fmt.Errorf("refresh: vector entry %d is %v: %w", i, v[i], ErrNonFinite)
 		}
 	}
 	r.seen++
@@ -270,10 +275,38 @@ func (r *Refresher) Observe(v []float64, logDensity float64) error {
 		}
 		return nil
 	}
-	r.batch1[0] = v
-	err := r.sketch.Update(r.batch1)
-	r.batch1[0] = nil
-	return err
+	return r.sketch.Update(v, cells)
+}
+
+// occupiedCells lists, ascending, the cells where v is not ±0 into
+// cells (capacity len(v)) and returns how many there are; NaN, ±Inf and
+// subnormals count. It reads v four cells at a time and skips a group
+// whose four cells are all empty with one compare, as
+// score.occupiedCounts skips empty counts.
+//
+//mhm:hotpath
+//mhm:deterministic
+func occupiedCells(cells []int32, v []float64) int {
+	n, l4 := 0, len(v)&^3
+	for i := 0; i < l4; i += 4 {
+		w := v[i : i+4 : i+4]
+		if (math.Float64bits(w[0])|math.Float64bits(w[1])|math.Float64bits(w[2])|math.Float64bits(w[3]))<<1 == 0 {
+			continue
+		}
+		for k, x := range w {
+			if math.Float64bits(x)<<1 != 0 {
+				cells[n] = int32(i + k)
+				n++
+			}
+		}
+	}
+	for i := l4; i < len(v); i++ {
+		if math.Float64bits(v[i])<<1 != 0 {
+			cells[n] = int32(i)
+			n++
+		}
+	}
+	return n
 }
 
 // Ready reports whether the training window holds enough samples to
@@ -420,7 +453,6 @@ func (r *Refresher) fitModels(n int, full bool) (*pca.Model, *gmm.Model, error) 
 		newGMM, err = gmm.Refit(reduced, r.gmmM, gmm.RefitOptions{
 			MaxIter:   r.cfg.EMIter,
 			BatchSize: r.cfg.EMBatch,
-			Workers:   r.cfg.Workers,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("refresh: warm GMM: %w", err)

@@ -3,6 +3,8 @@ package refresh
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/memheatmap/mhm/internal/core"
@@ -356,18 +358,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestObserveRejectsNonFinite feeds one vector with a single NaN or
-// ±Inf cell amid clean intervals, positioned so that it would be routed
-// to the holdout (the 92nd observation) or to the sketch (the 91st).
-// Observe must reject it with ErrNonFinite and leave every piece of
-// state alone — the seen counter, the CUSUM, both rings — so the next
-// refresh is bit-identical to a run that never saw it.
+// TestObserveRejectsNonFinite feeds one vector with a NaN or ±Inf cell
+// amid clean intervals, positioned so that it would be routed to the
+// holdout (the 92nd observation) or to the sketch (the 91st). The bad
+// cell sits mid-vector, inside a group of four whose other cells are
+// empty (the scan skips empty groups whole), in the last cell, or next
+// to a −0 (not occupied, but its sign bit is set). Observe must reject
+// the vector with ErrNonFinite and leave every piece of state alone —
+// the seen counter, the CUSUM, both rings — so the next refresh is
+// bit-identical to a run that never saw it.
 func TestObserveRejectsNonFinite(t *testing.T) {
 	wl, det := fixture(t)
 	cfg := Config{Window: 64, Holdout: 24, HoldoutEvery: 4}
 	l := fleet.SimRegion.Cells()
+	cases := []struct {
+		name string
+		set  func(v []float64)
+	}{
+		{"+Inf mid-vector", func(v []float64) { v[l/2] = math.Inf(1) }},
+		{"-Inf mid-vector", func(v []float64) { v[l/2] = math.Inf(-1) }},
+		{"NaN mid-vector", func(v []float64) { v[l/2] = math.NaN() }},
+		{"NaN in an otherwise empty group of four", func(v []float64) {
+			// With cells 0–11 empty the scan skips from cell 0 four
+			// at a time and meets cell 10 inside the group [8, 12).
+			clear(v[:12])
+			v[10] = math.NaN()
+		}},
+		{"+Inf in the last cell", func(v []float64) {
+			clear(v[l-4:])
+			v[l-1] = math.Inf(1)
+		}},
+		{"-0 next to a NaN", func(v []float64) {
+			v[l/2] = math.Copysign(0, -1)
+			v[l/2+1] = math.NaN()
+		}},
+	}
 	for _, before := range []int{91, 90} {
-		for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, tc := range cases {
 			clean := newRefresher(t, det, cfg)
 			r := newRefresher(t, det, cfg)
 			for _, x := range []*Refresher{clean, r} {
@@ -383,16 +410,45 @@ func TestObserveRejectsNonFinite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v[l/2] = bad
+			tc.set(v)
 			if err := r.Observe(v, d); !errors.Is(err, ErrNonFinite) {
-				t.Fatalf("after %d: observing a %v cell: err = %v, want ErrNonFinite", before, bad, err)
+				t.Fatalf("after %d, %s: err = %v, want ErrNonFinite", before, tc.name, err)
 			}
 			if r.cusum.S != clean.cusum.S {
-				t.Fatalf("after %d: rejected %v moved the CUSUM: %v, want %v", before, bad, r.cusum.S, clean.cusum.S)
+				t.Fatalf("after %d, %s: the rejected vector moved the CUSUM: %v, want %v", before, tc.name, r.cusum.S, clean.cusum.S)
 			}
 			want := refreshOutcomeAfter(t, clean, wl, det, before)
 			if got := refreshOutcomeAfter(t, r, wl, det, before); got != want {
-				t.Errorf("after %d, rejected %v: next refresh %s, want %s", before, bad, got, want)
+				t.Errorf("after %d, %s: next refresh %s, want %s", before, tc.name, got, want)
+			}
+		}
+	}
+}
+
+// TestOccupiedCellsMatchesScan compares Observe's grouped scan with a
+// cell-by-cell scan on every length from 0 to 13, so that every tail
+// after the groups of four comes up, with ±0, subnormal, NaN and ±Inf
+// cells at random places.
+func TestOccupiedCellsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	values := []float64{0, math.Copysign(0, -1), 1, -2.5, 5e-324, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for l := 0; l <= 13; l++ {
+		for trial := 0; trial < 200; trial++ {
+			v := make([]float64, l)
+			for i := range v {
+				if rng.Intn(3) == 0 {
+					v[i] = values[rng.Intn(len(values))]
+				}
+			}
+			var want []int32
+			for i, x := range v {
+				if math.Float64bits(x)<<1 != 0 {
+					want = append(want, int32(i))
+				}
+			}
+			cells := make([]int32, l)
+			if got := cells[:occupiedCells(cells, v)]; !slices.Equal(got, want) {
+				t.Fatalf("v = %v: listed %v, want %v", v, got, want)
 			}
 		}
 	}

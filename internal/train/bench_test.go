@@ -8,7 +8,7 @@ import "testing"
 // allocs/op must be 0: the engine preallocates everything in newEM.
 func BenchmarkTrainEM(b *testing.B) {
 	data, means := testData(2048, 9, 5, 1)
-	e, err := newEM(data, means, fitCfg(5, 1))
+	e, err := newEM(data, means, fitCfg(5))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,9 +38,7 @@ func BenchmarkCenteredApplyBlock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := c.Update(sketchData(window, l, 1)); err != nil {
-		b.Fatal(err)
-	}
+	push(b, c, sketchData(window, l, 1))
 	src := sketchData(block, l, 2)
 	dst := sketchData(block, l, 3)
 	c.Apply(dst, src)

@@ -12,21 +12,20 @@ import (
 	"github.com/memheatmap/mhm/internal/mat"
 )
 
-// densRange runs the E-step over samples [lo, hi): full blocks of eight
-// through the eight-lane panel kernel, the remainder through the scalar
-// path (identical per-sample operation order, so the split point is
-// invisible in the results). wi selects the worker's private panels.
+// eStep fills resp with responsibilities and ll with per-sample
+// log-likelihoods over the active range: full blocks of eight through
+// the eight-lane panel kernel, the remainder through the scalar path
+// (identical per-sample operation order, so the split point is
+// invisible in the results).
 //
 //mhm:hotpath
-func (e *em) densRange(lo, hi, wi int) {
-	base := wi * 16 * e.d
-	pd := e.pack[base : base+8*e.d]
-	py := e.pack[base+8*e.d : base+16*e.d]
-	s := lo
-	for ; s+8 <= hi; s += 8 {
+func (e *em) eStep() {
+	pd, py := e.pack[:8*e.d], e.pack[8*e.d:]
+	s := e.bLo
+	for ; s+8 <= e.bHi; s += 8 {
 		e.densBlock8(s, pd, py)
 	}
-	for ; s < hi; s++ {
+	for ; s < e.bHi; s++ {
 		e.densScalar(s, pd[:e.d], py[:e.d])
 	}
 }
@@ -164,8 +163,7 @@ func respLLRow(row []float64) float64 {
 // responsibility mass collapsed is re-seeded on the worst-modeled
 // sample using the log-likelihoods already computed in the E-step — a
 // consistent pre-update criterion (the staged path rescanned against a
-// half-updated model), which is also what makes the components
-// independent and the per-component fan-out deterministic. Returns
+// half-updated model), which keeps the components independent. Returns
 // false when the covariance is no longer SPD.
 //
 //mhm:hotpath
@@ -210,7 +208,7 @@ func (e *em) mStepComponent(j int) bool {
 	for c := range covj {
 		covj[c] = 0
 	}
-	diff := e.mdiff[j*d : (j+1)*d]
+	diff := e.pack[:d] // the E-step's panels are free during the M-step
 	for i := lo; i < hi; i++ {
 		w := e.resp[i*k+j]
 		if mat.IsZero(w) {

@@ -81,12 +81,8 @@ func driftedSketch(t *testing.T, workers int) (c *Centered, meanOnly []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(frac(cells)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Update(frac(cells[20:])); err != nil {
-		t.Fatal(err)
-	}
+	push(t, c, frac(cells))
+	push(t, c, frac(cells[20:]))
 	for _, i := range cells[:20] {
 		if !mat.IsZero(c.Mean()[i]) {
 			meanOnly = append(meanOnly, i)
@@ -122,9 +118,7 @@ func TestCenteredRestrictedEigenMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Update(samples); err != nil {
-				t.Fatal(err)
-			}
+			push(t, c, samples)
 			return c
 		}
 		drifted, _ := driftedSketch(t, workers)
@@ -221,9 +215,7 @@ func TestCenteredRestrictContract(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
 		v := make([]float64, 10)
 		v[3], v[6] = 1, bad
-		if err := empty.Update([][]float64{v}); err != nil {
-			t.Fatal(err)
-		}
+		push(t, empty, [][]float64{v})
 		if s, sub := empty.Restrict(); sub != nil {
 			t.Fatalf("sample entry %v: restricted to %v, want no restriction", bad, s)
 		}

@@ -1,6 +1,6 @@
 // The incremental form of the eigenmemory covariance build: a sliding
 // window of raw interval vectors whose mean, per-tile sum-of-squares
-// and implicit covariance operator are maintained by mini-batch updates
+// and implicit covariance operator are maintained one sample at a time
 // instead of being rebuilt from scratch. Each ring slot also keeps the
 // ascending list of its sample's nonzero cells, and each cell the
 // number of held samples that touch it, so an Update pays only for the
@@ -111,39 +111,36 @@ func (c *Centered) Sample(s int) []float64 { return c.x[s*c.l : (s+1)*c.l] }
 // overwrites the slot.
 func (c *Centered) Cells(s int) []int32 { return c.cells[s*c.l : s*c.l+c.nnz[s]] }
 
-// Update folds a batch of samples into the window, evicting the oldest
-// entries once the ring is full. It allocates nothing. Each sample costs
-// one scan of its L cells for the nonzero ones plus O(nnz) work on the
-// cells the evicted and the entering samples occupy; while the window
-// fills, every mean's divisor changes, so all L means are re-derived
-// once per call.
+// Update folds one sample into the window, evicting the oldest once the
+// ring is full. cells must list, ascending, every cell where v is not
+// ±0 (listing a zero cell as well is harmless). It allocates nothing and
+// reads v only at the listed cells: once the window is full, an Update
+// costs O(nnz) work on the cells the evicted and the entering samples
+// occupy. While the window fills, every mean's divisor changes, so all
+// L means are re-derived.
 //
 //mhm:deterministic
-func (c *Centered) Update(batch [][]float64) error {
-	for i, v := range batch {
-		if len(v) != c.l {
-			return fmt.Errorf("train: Centered.Update: sample %d has %d dims, want %d", i, len(v), c.l)
-		}
+func (c *Centered) Update(v []float64, cells []int32) error {
+	if len(v) != c.l {
+		return fmt.Errorf("train: Centered.Update: sample has %d dims, want %d", len(v), c.l)
 	}
-	if len(batch) == 0 {
-		return nil
+	prev := int32(-1)
+	for _, i := range cells {
+		if i <= prev || int(i) >= c.l {
+			return fmt.Errorf("train: Centered.Update: cell %d after %d not ascending in [0, %d)", i, prev, c.l)
+		}
+		prev = i
 	}
 	// A full window keeps its divisor, so only the means of the cells a
 	// sample leaves or enters change.
 	full := c.n == c.window
-	for b, v := range batch {
-		slot := (c.head + b) % c.window
-		if c.n+b >= c.window { // slot holds a live sample: evict it
-			c.evict(slot, full)
-		}
-		c.insert(slot, v, full)
+	if full { // the head slot holds the oldest sample: evict it
+		c.evict(c.head)
 	}
-	c.n += len(batch)
-	if c.n > c.window {
-		c.n = c.window
-	}
-	c.head = (c.head + len(batch)) % c.window
+	c.insert(c.head, v, cells, full)
+	c.head = (c.head + 1) % c.window
 	if !full {
+		c.n++
 		inv := float64(c.n)
 		for i, s := range c.sum {
 			c.mean[i] = s / inv
@@ -152,15 +149,15 @@ func (c *Centered) Update(batch [][]float64) error {
 	return nil
 }
 
-// evict takes the sample in slot out of the running sums, clears its
-// ring row and empties its cell list. The listed cells are ascending,
-// so the per-tile second-moment partial is carried in a register across
-// a tile's cells and stored when the tile changes. With full set, each
+// evict takes the sample in slot of the full window out of the running
+// sums, clears its ring row and empties its cell list. The listed cells
+// are ascending, so the per-tile second-moment partial is carried in a
+// register across a tile's cells and stored when the tile changes. Each
 // touched cell's mean is re-derived over the full window.
 //
 //mhm:hotpath
 //mhm:deterministic
-func (c *Centered) evict(slot int, full bool) {
+func (c *Centered) evict(slot int) {
 	row := c.x[slot*c.l : (slot+1)*c.l]
 	inv := float64(c.window)
 	tile, sq := -1, 0.0
@@ -176,9 +173,7 @@ func (c *Centered) evict(slot int, full bool) {
 		c.count[i]--
 		c.sum[i] -= old
 		sq -= old * old
-		if full {
-			c.mean[i] = c.sum[i] / inv
-		}
+		c.mean[i] = c.sum[i] / inv
 	}
 	if tile >= 0 {
 		c.sumSq[tile] = sq
@@ -186,30 +181,31 @@ func (c *Centered) evict(slot int, full bool) {
 	c.nnz[slot] = 0
 }
 
-// insert writes v's nonzero cells into the cleared ring row of slot,
-// lists them and adds them to the running sums, in ascending cell
+// insert writes v's nonzero listed cells into the cleared ring row of
+// slot, lists them and adds them to the running sums, in ascending cell
 // order; with full set, each touched cell's mean is re-derived over the
 // full window.
 //
 //mhm:hotpath
 //mhm:deterministic
-func (c *Centered) insert(slot int, v []float64, full bool) {
+func (c *Centered) insert(slot int, v []float64, cells []int32, full bool) {
 	row := c.x[slot*c.l : (slot+1)*c.l]
 	list := c.cells[slot*c.l : (slot+1)*c.l]
 	inv := float64(c.window)
 	n, tile, sq := 0, -1, 0.0
-	for i, xv := range v {
+	for _, i := range cells {
+		xv := v[i]
 		if mat.IsZero(xv) {
 			continue
 		}
-		if t := i / dimTile; t != tile {
+		if t := int(i) / dimTile; t != tile {
 			if tile >= 0 {
 				c.sumSq[tile] = sq
 			}
 			tile, sq = t, c.sumSq[t]
 		}
 		row[i] = xv
-		list[n] = int32(i)
+		list[n] = i
 		n++
 		c.count[i]++
 		c.sum[i] += xv

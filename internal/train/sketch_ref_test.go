@@ -12,7 +12,7 @@ import (
 )
 
 // denseCentered is the sliding-window sketch as it was before the cell
-// lists: every Update sweeps all L cells of every batch sample, split
+// lists: every update sweeps all L cells of every batch sample, split
 // into the dimension tiles of BuildCentered and dispatched over the
 // workers, and Restrict scans the whole ring for the support. It is
 // kept as the reference Centered must match bit for bit.
@@ -301,13 +301,24 @@ var historyValues = []float64{
 // historySpecials are the non-finite entries, drawn rarely.
 var historySpecials = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 
+// historyList lists every cell of historyCells: handed to Update for
+// every second sample, it lists the sample's zero cells as well.
+var historyList = func() []int32 {
+	list := make([]int32, len(historyCells))
+	for k, i := range historyCells {
+		list[k] = int32(i)
+	}
+	return list
+}()
+
 // runCenteredHistory decodes data into a sketch shape and a history of
-// batches and rebuilds, feeds it to Centered and to the dense reference
-// and compares them after every step. Byte 0 picks the window (1–9),
-// byte 1 the worker count (1 or 2); then each step is one op byte — a
-// rebuild when op%8 is 7, else a batch of 1 + op%5 samples — and each
-// sample a cell count byte (0–5 cells) followed by a cell byte and a
-// value byte per cell.
+// samples and rebuilds, feeds it to Centered one sample per Update and
+// to the dense reference one sample per update, and compares them after
+// every sample and every rebuild. Byte 0 picks the window (1–9), byte 1
+// the worker count (1 or 2); then each step is one op byte — a rebuild
+// when op%8 is 7, else a run of 1 + op%5 samples — and each sample a
+// cell count byte (0–5 cells) followed by a cell byte and a value byte
+// per cell.
 func runCenteredHistory(t *testing.T, data []byte, cov *historyCoverage) {
 	t.Helper()
 	next := func() (byte, bool) {
@@ -340,9 +351,8 @@ func runCenteredHistory(t *testing.T, data []byte, cov *historyCoverage) {
 			checkCenteredMatchesDense(t, name+" (rebuild)", c, d, rng, cov)
 			continue
 		}
-		batch := make([][]float64, 1+int(op)%5)
-		for b := range batch {
-			batch[b] = make([]float64, historyL)
+		for b := 0; b < 1+int(op)%5; b++ {
+			v := make([]float64, historyL)
 			nc, _ := next()
 			for k := 0; k < int(nc)%6; k++ {
 				cb, _ := next()
@@ -351,17 +361,21 @@ func runCenteredHistory(t *testing.T, data []byte, cov *historyCoverage) {
 				if vb >= 250 {
 					x = historySpecials[int(vb)%len(historySpecials)]
 				}
-				batch[b][historyCells[int(cb)%len(historyCells)]] = x
+				v[historyCells[int(cb)%len(historyCells)]] = x
 			}
+			if d.n == window {
+				cov.evicted++
+			}
+			cells := occupied(v)
+			if b%2 == 1 {
+				cells = historyList
+			}
+			if err := c.Update(v, cells); err != nil {
+				t.Fatal(err)
+			}
+			d.update([][]float64{v})
+			checkCenteredMatchesDense(t, fmt.Sprintf("%s sample %d", name, b), c, d, rng, cov)
 		}
-		if d.n+len(batch) > window {
-			cov.evicted++
-		}
-		if err := c.Update(batch); err != nil {
-			t.Fatal(err)
-		}
-		d.update(batch)
-		checkCenteredMatchesDense(t, fmt.Sprintf("%s (batch of %d)", name, len(batch)), c, d, rng, cov)
 	}
 }
 
@@ -393,12 +407,13 @@ func randomHistory(rng *rand.Rand, window, workers byte, steps int, specials boo
 
 // TestCenteredMatchesDense is the differential test of the cell-list
 // sketch against the dense per-tile update and the ring-scanning
-// Restrict: random histories of 1–5-sample batches and rebuilds at
-// every window from 1 to 9 and at one and two workers, filling below,
-// at and past the window, with fractional values whose evictions leave
-// a nonzero mean on cells no held sample touches, −0 and subnormal
-// entries, and (in every second history) NaN and ±Inf entries, after
-// which Restrict must return no operator. Each hard case must come up.
+// Restrict: random histories of samples, one per Update, and rebuilds
+// at every window from 1 to 9 and at one and two workers, filling
+// below, at and past the window, with fractional values whose
+// evictions leave a nonzero mean on cells no held sample touches, −0
+// and subnormal entries, listed zero cells, and (in every second
+// history) NaN and ±Inf entries, after which Restrict must return no
+// operator. Each hard case must come up.
 func TestCenteredMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var cov historyCoverage

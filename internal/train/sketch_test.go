@@ -8,6 +8,28 @@ import (
 	"github.com/memheatmap/mhm/internal/mat"
 )
 
+// occupied lists the cells of v that are not ±0, ascending: the list
+// Centered.Update takes.
+func occupied(v []float64) []int32 {
+	var cells []int32
+	for i, x := range v {
+		if !mat.IsZero(x) {
+			cells = append(cells, int32(i))
+		}
+	}
+	return cells
+}
+
+// push feeds the samples to c one Update at a time.
+func push(tb testing.TB, c *Centered, samples [][]float64) {
+	tb.Helper()
+	for _, v := range samples {
+		if err := c.Update(v, occupied(v)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 func sketchData(n, l int, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	set := make([][]float64, n)
@@ -34,9 +56,7 @@ func TestCenteredMatchesBuildOnFirstFill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Update(set); err != nil {
-			t.Fatal(err)
-		}
+		push(t, c, set)
 		for i, v := range mean {
 			if math.Float64bits(v) != math.Float64bits(c.Mean()[i]) {
 				t.Fatalf("n=%d l=%d: mean[%d] %v vs %v", shape.n, shape.l, i, v, c.Mean()[i])
@@ -57,15 +77,7 @@ func TestCenteredEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lo := 0; lo < len(set); lo += 7 { // ragged batches
-		hi := lo + 7
-		if hi > len(set) {
-			hi = len(set)
-		}
-		if err := c.Update(set[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	push(t, c, set)
 	if c.Len() != window {
 		t.Fatalf("Len = %d, want %d", c.Len(), window)
 	}
@@ -99,7 +111,8 @@ func TestCenteredEviction(t *testing.T) {
 }
 
 // TestCenteredWorkerBitIdentity pins the determinism contract: the same
-// push history yields bit-identical state at every worker count.
+// push history, with a Rebuild inside it, yields bit-identical state at
+// every worker count.
 func TestCenteredWorkerBitIdentity(t *testing.T) {
 	const l, window = 1100, 48 // spans three dimension tiles
 	set := sketchData(130, l, 3)
@@ -108,15 +121,9 @@ func TestCenteredWorkerBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for lo := 0; lo < len(set); lo += 9 {
-			hi := lo + 9
-			if hi > len(set) {
-				hi = len(set)
-			}
-			if err := c.Update(set[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-		}
+		push(t, c, set[:70])
+		c.Rebuild()
+		push(t, c, set[70:])
 		return c
 	}
 	base := run(1)
@@ -155,9 +162,7 @@ func TestCenteredApplyMatchesExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(set); err != nil {
-		t.Fatal(err)
-	}
+	push(t, c, set)
 	mean := c.Mean()
 	cov := mat.New(l, l)
 	for _, v := range set {
@@ -186,18 +191,17 @@ func TestCenteredApplyMatchesExplicit(t *testing.T) {
 // dimension tiles.
 func TestCenteredUpdateAllocationFree(t *testing.T) {
 	const l, window = 600, 64
-	set := sketchData(window+8, l, 4)
+	set := sketchData(window+1, l, 4)
 	for _, workers := range []int{1, 2} {
 		c, err := NewCentered(l, window, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Update(set[:window]); err != nil {
-			t.Fatal(err)
-		}
-		batch := set[window:]
+		push(t, c, set[:window])
+		v := set[window]
+		cells := occupied(v)
 		allocs := testing.AllocsPerRun(50, func() {
-			if err := c.Update(batch); err != nil {
+			if err := c.Update(v, cells); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -240,9 +244,7 @@ func TestCenteredBlockApplyMatchesSingleVector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Update(sketchData(fill, l, int64(fill))); err != nil {
-			t.Fatal(err)
-		}
+		push(t, c, sketchData(fill, l, int64(fill)))
 		for b := 1; b <= 17; b++ {
 			src := sketchData(b, l, int64(100+b))
 			dst := sketchData(b, l, 7) // stale contents must be overwritten
@@ -273,9 +275,7 @@ func TestCenteredApplyAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update(sketchData(window, l, 5)); err != nil {
-		t.Fatal(err)
-	}
+	push(t, c, sketchData(window, l, 5))
 	src, dst := sketchData(17, l, 6), sketchData(17, l, 7)
 	if allocs := testing.AllocsPerRun(20, func() { c.Apply(dst, src) }); allocs != 0 {
 		t.Fatalf("Centered.Apply allocated %.1f/op, want 0", allocs)

@@ -1,21 +1,25 @@
-// Package train is the fused, parallel, zero-steady-state-allocation
-// training engine behind gmm.Train and pca.Train (DESIGN.md §9). It
-// owns the blocked EM inner loop — a per-iteration log-density matrix
-// computed once through a fused Cholesky forward substitution that
-// solves eight samples at a time, responsibilities and the
-// total log-likelihood derived from that single matrix, and a
-// per-component parallel M-step — plus the tiled mean/Φ/variance build
-// of the eigenmemory covariance, and Centered, the sliding-window form
-// of that build the online refresh keeps, whose updates pay only for
-// the cells each sample occupies.
+// Package train is the fused, zero-steady-state-allocation training
+// engine behind gmm.Train and pca.Train (DESIGN.md §9). It owns the
+// blocked EM inner loop — a per-iteration log-density matrix computed
+// once through a fused Cholesky forward substitution that solves eight
+// samples at a time, responsibilities and the total log-likelihood
+// derived from that single matrix, and the per-component M-step — plus
+// the tiled mean/Φ/variance build of the eigenmemory covariance, and
+// Centered, the sliding-window form of that build the online refresh
+// keeps, whose updates pay only for the cells each sample occupies.
+//
+// An EM fit runs on the calling goroutine: at the paper's shapes one
+// iteration is too small to split, so callers spend their goroutines on
+// independent fits instead (gmm.Train runs its restarts side by side
+// through Chunks).
 //
 // Determinism contract: for a fixed input, every result is bit-identical
-// for every worker count, including the serial run. Sample chunks and
-// dimension tiles form a fixed grid that depends only on the problem
-// size; each chunk writes disjoint state, and every cross-chunk
-// reduction (the log-likelihood sum, the variance partials) folds in
-// ascending chunk index. Centered.Update runs serially and folds each
-// tile's variance partial in the order the tiled pass would. The per-sample and per-component arithmetic
+// for every worker count, including the serial run. Dimension tiles and
+// the chunks of Chunks form a fixed grid that depends only on the
+// problem size; each chunk writes disjoint state, and the cross-tile
+// variance partials fold in ascending tile index. Centered.Update runs
+// serially and folds each tile's variance partial in the order the
+// tiled pass would. The per-sample and per-component arithmetic
 // reproduces the operation order of the staged gmm/pca paths exactly, so
 // models trained through this engine match the historical fits bit for
 // bit.
@@ -34,11 +38,6 @@ var ErrNotSPD = errors.New("train: covariance not positive definite")
 
 const log2Pi = 1.8378770664093453 // ln(2π)
 
-// sampleChunk is the E-step work unit: a fixed slice of samples, a
-// multiple of the 8-lane E-step block, small enough to spread restarts'
-// leftover cores and large enough to amortize dispatch.
-const sampleChunk = 1024
-
 // EMConfig tunes one EM fit.
 type EMConfig struct {
 	// K is the number of mixture components.
@@ -53,10 +52,6 @@ type EMConfig struct {
 	// InitVar is the initial shared spherical variance (Reg is added on
 	// the diagonal on top of it).
 	InitVar float64
-	// Workers bounds the goroutines used inside the fit (E-step sample
-	// chunks, M-step components). Values below 1 mean serial. Results
-	// are bit-identical for every value.
-	Workers int
 	// Warm, when non-nil, seeds the fit from an existing model instead
 	// of the spherical initializer: weights, means and covariances are
 	// copied and the covariances Cholesky-factored up front. initMeans
@@ -66,12 +61,10 @@ type EMConfig struct {
 	// BatchSize, when positive, runs each iteration's E and M pass over
 	// one contiguous mini-batch of at most BatchSize samples instead of
 	// the full set, rotating through the fixed batch grid in iteration
-	// order (iteration i uses batch i mod ⌈n/BatchSize⌉). The grid
-	// depends only on n and BatchSize, so fits stay bit-identical for
-	// every worker count. Mini-batch likelihoods are not comparable
-	// across batches, so Tol-based early stopping is disabled: the fit
-	// runs exactly MaxIter iterations — the refresh loop's bounded-
-	// iteration contract.
+	// order (iteration i uses batch i mod ⌈n/BatchSize⌉). Mini-batch
+	// likelihoods are not comparable across batches, so Tol-based early
+	// stopping is disabled: the fit runs exactly MaxIter iterations — the
+	// refresh loop's bounded-iteration contract.
 	BatchSize int
 }
 
@@ -142,16 +135,14 @@ func EMFit(data [][]float64, initMeans [][]float64, cfg EMConfig) (*EMModel, err
 }
 
 // em is the preallocated per-restart state: after newEM, an iteration
-// (eStep + sumLL + mStep) allocates nothing in serial mode and only
-// goroutine bookkeeping when Workers > 1.
+// (eStep + sumLL + mStep) allocates nothing.
 type em struct {
 	n, d, k int
-	workers int
 	reg     float64
 
 	// The active sample range [bLo, bHi): the full set for batch EM,
-	// one rotating contiguous mini-batch otherwise. Every kernel —
-	// E-step chunks, the log-likelihood fold, the M-step sweeps and the
+	// one rotating contiguous mini-batch otherwise. Every kernel — the
+	// E-step, the log-likelihood fold, the M-step sweeps and the
 	// dead-component reseed — confines itself to this range, so the
 	// full-batch case reproduces the historical arithmetic bit for bit.
 	bLo, bHi int
@@ -166,15 +157,8 @@ type em struct {
 	cov    []float64 // k×d×d row-major
 	chol   []float64 // k×d×d lower-triangular factors of cov
 	base   []float64 // k: d·ln(2π) + logdet, the density constant
-	spd    []bool    // per-component M-step factorization outcome
 
-	pack  []float64 // per-worker diff/y panels, 16·d floats each
-	mdiff []float64 // per-component M-step diff scratch, k×d
-
-	// Dispatch closures, built once so steady-state iterations do not
-	// allocate even for the serial dispatcher.
-	eChunk func(idx, worker int)
-	mChunk func(idx, worker int)
+	pack []float64 // E-step diff/y panels, 16·d floats; M-step diff scratch
 }
 
 // newEM packs the data and builds the initial model: the caller's means
@@ -183,15 +167,10 @@ type em struct {
 // factored up front.
 func newEM(data [][]float64, initMeans [][]float64, cfg EMConfig) (*em, error) {
 	n, d, k := len(data), len(data[0]), cfg.K
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	e := &em{
 		n: n, d: d, k: k,
-		workers: workers,
-		reg:     cfg.Reg,
-		bLo:     0, bHi: n,
+		reg: cfg.Reg,
+		bLo: 0, bHi: n,
 		x:      make([]float64, n*d),
 		resp:   make([]float64, n*k),
 		ll:     make([]float64, n),
@@ -201,9 +180,7 @@ func newEM(data [][]float64, initMeans [][]float64, cfg EMConfig) (*em, error) {
 		cov:    make([]float64, k*d*d),
 		chol:   make([]float64, k*d*d),
 		base:   make([]float64, k),
-		spd:    make([]bool, k),
-		pack:   make([]float64, workers*16*d),
-		mdiff:  make([]float64, k*d),
+		pack:   make([]float64, 16*d),
 	}
 	for i, v := range data {
 		copy(e.x[i*d:(i+1)*d], v)
@@ -238,30 +215,12 @@ func newEM(data [][]float64, initMeans [][]float64, cfg EMConfig) (*em, error) {
 			e.base[j] = float64(d)*log2Pi + logDetFlat(e.chol[j*d*d:(j+1)*d*d], d)
 		}
 	}
-	e.eChunk = func(c, wi int) {
-		lo := e.bLo + c*sampleChunk
-		hi := lo + sampleChunk
-		if hi > e.bHi {
-			hi = e.bHi
-		}
-		e.densRange(lo, hi, wi)
-	}
-	e.mChunk = func(j, _ int) {
-		e.spd[j] = e.mStepComponent(j)
-	}
 	return e, nil
-}
-
-// eStep fills resp with responsibilities and ll with per-sample
-// log-likelihoods over the active range, parallel over fixed sample
-// chunks.
-func (e *em) eStep() {
-	chunksWorker(chunkCount(e.bHi-e.bLo, sampleChunk), e.workers, e.eChunk)
 }
 
 // sumLL folds the active range's per-sample log-likelihoods in
 // ascending sample order — the same order the staged E-step accumulated
-// them — keeping the convergence test independent of the chunk grid.
+// them.
 func (e *em) sumLL() float64 {
 	s := 0.0
 	for _, v := range e.ll[e.bLo:e.bHi] {
@@ -270,15 +229,12 @@ func (e *em) sumLL() float64 {
 	return s
 }
 
-// mStep updates weights, means and covariances from resp, parallel over
-// components (their accumulations are independent straight loops, so
-// per-component fan-out preserves bit-identity with the serial sweep).
-// It returns the index of a component whose covariance failed to factor,
-// or -1.
+// mStep updates weights, means and covariances from resp, one
+// component at a time. It returns the index of the first component
+// whose covariance failed to factor, or -1.
 func (e *em) mStep() int {
-	chunksWorker(e.k, e.workers, e.mChunk)
-	for j, ok := range e.spd {
-		if !ok {
+	for j := 0; j < e.k; j++ {
+		if !e.mStepComponent(j) {
 			return j
 		}
 	}

@@ -28,45 +28,24 @@ func testData(n, d, k int, seed int64) (data, means [][]float64) {
 	return data, means
 }
 
-func fitCfg(k, workers int) EMConfig {
-	return EMConfig{K: k, MaxIter: 40, Tol: 1e-6, Reg: 1e-6, InitVar: 1, Workers: workers}
+func fitCfg(k int) EMConfig {
+	return EMConfig{K: k, MaxIter: 40, Tol: 1e-6, Reg: 1e-6, InitVar: 1}
 }
 
-// TestEMFitWorkerCountsBitIdentical pins the determinism contract at
-// the engine level: every worker count yields a bitwise-equal model.
-func TestEMFitWorkerCountsBitIdentical(t *testing.T) {
-	for _, shape := range []struct{ n, d, k int }{
-		{300, 5, 3},
-		{1029, 9, 5}, // crosses the sample-chunk boundary, odd tail
-		{17, 3, 2},
-	} {
-		data, means := testData(shape.n, shape.d, shape.k, 7)
-		base, err := EMFit(data, means, fitCfg(shape.k, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 5, 16} {
-			got, err := EMFit(data, means, fitCfg(shape.k, workers))
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if math.Float64bits(base.LogLikelihood) != math.Float64bits(got.LogLikelihood) {
-				t.Fatalf("n=%d workers=%d: LL %v vs %v", shape.n, workers, base.LogLikelihood, got.LogLikelihood)
-			}
-			for i, v := range base.Weights {
-				if math.Float64bits(v) != math.Float64bits(got.Weights[i]) {
-					t.Fatalf("n=%d workers=%d: weight[%d] differs", shape.n, workers, i)
-				}
-			}
-			for i, v := range base.Means {
-				if math.Float64bits(v) != math.Float64bits(got.Means[i]) {
-					t.Fatalf("n=%d workers=%d: mean flat[%d] differs", shape.n, workers, i)
-				}
-			}
-			for i, v := range base.Covs {
-				if math.Float64bits(v) != math.Float64bits(got.Covs[i]) {
-					t.Fatalf("n=%d workers=%d: cov flat[%d] differs", shape.n, workers, i)
-				}
+// requireSameEM fails unless a and b have the same log-likelihood,
+// weights, means and covariances, bit for bit.
+func requireSameEM(t *testing.T, tag string, a, b *EMModel) {
+	t.Helper()
+	if math.Float64bits(a.LogLikelihood) != math.Float64bits(b.LogLikelihood) {
+		t.Fatalf("%s: LL %v vs %v", tag, a.LogLikelihood, b.LogLikelihood)
+	}
+	for _, f := range []struct {
+		name string
+		a, b []float64
+	}{{"weight", a.Weights, b.Weights}, {"mean", a.Means, b.Means}, {"cov", a.Covs, b.Covs}} {
+		for i, v := range f.a {
+			if math.Float64bits(v) != math.Float64bits(f.b[i]) {
+				t.Fatalf("%s: %s flat[%d] = %v vs %v", tag, f.name, i, v, f.b[i])
 			}
 		}
 	}
@@ -77,7 +56,7 @@ func TestEMFitWorkerCountsBitIdentical(t *testing.T) {
 // performs zero heap allocations.
 func TestEMIterationAllocationFree(t *testing.T) {
 	data, means := testData(512, 9, 5, 3)
-	e, err := newEM(data, means, fitCfg(5, 1))
+	e, err := newEM(data, means, fitCfg(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +166,13 @@ func TestFsubPacked8MatchesScalar(t *testing.T) {
 // TestEMFitRejectsBadInput covers the argument contract.
 func TestEMFitRejectsBadInput(t *testing.T) {
 	data, means := testData(10, 2, 2, 1)
-	if _, err := EMFit(nil, means, fitCfg(2, 1)); err == nil {
+	if _, err := EMFit(nil, means, fitCfg(2)); err == nil {
 		t.Fatal("empty data accepted")
 	}
-	if _, err := EMFit(data, means[:1], fitCfg(2, 1)); err == nil {
+	if _, err := EMFit(data, means[:1], fitCfg(2)); err == nil {
 		t.Fatal("mismatched initial means accepted")
 	}
-	if _, err := EMFit(data, means, fitCfg(0, 1)); err == nil {
+	if _, err := EMFit(data, means, fitCfg(0)); err == nil {
 		t.Fatal("zero components accepted")
 	}
 }

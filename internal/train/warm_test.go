@@ -11,11 +11,11 @@ import (
 // rounding; from anywhere else EM ascends).
 func TestEMFitWarmStart(t *testing.T) {
 	data, means := testData(400, 6, 3, 21)
-	prev, err := EMFit(data, means, fitCfg(3, 1))
+	prev, err := EMFit(data, means, fitCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fitCfg(3, 1)
+	cfg := fitCfg(3)
 	cfg.MaxIter = 4
 	cfg.Warm = prev
 	got, err := EMFit(data, nil, cfg)
@@ -36,7 +36,7 @@ func TestEMFitWarmStart(t *testing.T) {
 // 4 iterations.
 func TestEMFitWarmStartOnShiftedData(t *testing.T) {
 	data, means := testData(400, 6, 3, 21)
-	prev, err := EMFit(data, means, fitCfg(3, 1))
+	prev, err := EMFit(data, means, fitCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestEMFitWarmStartOnShiftedData(t *testing.T) {
 			v[j] += 0.5
 		}
 	}
-	cold, err := EMFit(shifted, shiftMeans, fitCfg(3, 1))
+	cold, err := EMFit(shifted, shiftMeans, fitCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fitCfg(3, 1)
+	cfg := fitCfg(3)
 	cfg.MaxIter = 4
 	cfg.Warm = prev
 	warm, err := EMFit(shifted, nil, cfg)
@@ -62,56 +62,47 @@ func TestEMFitWarmStartOnShiftedData(t *testing.T) {
 	}
 }
 
-// TestEMFitMiniBatchDeterministic pins bit-identity of the mini-batch
-// path across worker counts, including a batch size that does not
-// divide n.
+// TestEMFitMiniBatchDeterministic pins the mini-batch schedule,
+// including a batch size that does not divide n: iteration i runs over
+// batch i mod ⌈n/BatchSize⌉, so six mini-batch iterations must give the
+// bits of six one-iteration warm fits chained over those batches.
 func TestEMFitMiniBatchDeterministic(t *testing.T) {
+	const batch = 300
 	data, means := testData(1029, 5, 3, 13)
-	prev, err := EMFit(data, means, fitCfg(3, 1))
+	prev, err := EMFit(data, means, fitCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *EMModel {
-		cfg := fitCfg(3, workers)
-		cfg.MaxIter = 6
-		cfg.Warm = prev
-		cfg.BatchSize = 300
-		m, err := EMFit(data, nil, cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return m
+	cfg := fitCfg(3)
+	cfg.MaxIter = 6
+	cfg.Warm = prev
+	cfg.BatchSize = batch
+	got, err := EMFit(data, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := run(1)
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
-		for j := range base.Weights {
-			if math.Float64bits(base.Weights[j]) != math.Float64bits(got.Weights[j]) {
-				t.Fatalf("workers=%d: weight[%d] differs", workers, j)
-			}
-		}
-		for i := range base.Means {
-			if math.Float64bits(base.Means[i]) != math.Float64bits(got.Means[i]) {
-				t.Fatalf("workers=%d: mean[%d] differs", workers, i)
-			}
-		}
-		for i := range base.Covs {
-			if math.Float64bits(base.Covs[i]) != math.Float64bits(got.Covs[i]) {
-				t.Fatalf("workers=%d: cov[%d] differs", workers, i)
-			}
+	want := prev
+	for iter := 0; iter < cfg.MaxIter; iter++ {
+		lo := iter % 4 * batch
+		step := fitCfg(3)
+		step.MaxIter = 1
+		step.Warm = want
+		if want, err = EMFit(data[lo:min(lo+batch, len(data))], nil, step); err != nil {
+			t.Fatalf("iteration %d: %v", iter, err)
 		}
 	}
+	requireSameEM(t, "mini-batch fit vs chained batch fits", got, want)
 }
 
 // TestEMFitWarmRejectsShapeMismatch checks warm-start validation.
 func TestEMFitWarmRejectsShapeMismatch(t *testing.T) {
 	data, means := testData(100, 4, 2, 3)
-	prev, err := EMFit(data, means, fitCfg(2, 1))
+	prev, err := EMFit(data, means, fitCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wrong, _ := testData(100, 5, 2, 4)
-	cfg := fitCfg(2, 1)
+	cfg := fitCfg(2)
 	cfg.Warm = prev
 	if _, err := EMFit(wrong, nil, cfg); err == nil {
 		t.Fatal("warm fit over mismatched dimension succeeded")
