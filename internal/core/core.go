@@ -272,6 +272,20 @@ func NewDetector(region heatmap.Def, pcaModel *pca.Model, gmmModel *gmm.Model, t
 	return d, nil
 }
 
+// WithThresholds returns a copy of d that decides with ths, sorted by P
+// here, and shares d's models and scoring runtime; d is unchanged. It
+// fails, like NewDetector, on a P outside (0, 1), a repeated P or a NaN
+// θ.
+func (d *Detector) WithThresholds(ths []Threshold) (*Detector, error) {
+	if err := checkThresholds("density", ths); err != nil {
+		return nil, err
+	}
+	c := *d
+	c.Thresholds = append([]Threshold(nil), ths...)
+	sortThresholds(c.Thresholds)
+	return &c, nil
+}
+
 // projChunk is the work unit of the batch projection: vectors per
 // training-engine chunk.
 const projChunk = 16

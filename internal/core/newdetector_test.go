@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/memheatmap/mhm/internal/heatmap"
@@ -88,5 +89,49 @@ func TestNewDetectorEmptyThresholds(t *testing.T) {
 	}
 	if _, err := re.LogDensity(patternMap(rng, 0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWithThresholds checks that WithThresholds rejects what
+// NewDetector rejects, sorts the new thresholds by P, leaves the
+// receiver's thresholds alone and shares the receiver's scoring engine.
+func TestWithThresholds(t *testing.T) {
+	d, _ := trainTestDetector(t)
+	before := append([]Threshold(nil), d.Thresholds...)
+	for name, ths := range map[string][]Threshold{
+		"p=0":        {{P: 0, Theta: -10}},
+		"p=1.5":      {{P: 1.5, Theta: -10}},
+		"repeated p": {{P: 0.01, Theta: -10}, {P: 0.005, Theta: -12}, {P: 0.01, Theta: -11}},
+		"NaN θ":      {{P: 0.01, Theta: math.NaN()}},
+	} {
+		if _, err := d.WithThresholds(ths); !errors.Is(err, ErrConfig) {
+			t.Errorf("thresholds %s: %v, want ErrConfig", name, err)
+		}
+	}
+	ths := []Threshold{{P: 0.2, Theta: -3}, {P: 0.01, Theta: -9}, {P: 0.05, Theta: -7}}
+	c, err := d.WithThresholds(ths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Threshold{{P: 0.01, Theta: -9}, {P: 0.05, Theta: -7}, {P: 0.2, Theta: -3}}
+	if !slices.Equal(c.Thresholds, want) {
+		t.Fatalf("thresholds %+v, want %+v", c.Thresholds, want)
+	}
+	if !slices.Equal(d.Thresholds, before) {
+		t.Fatalf("receiver thresholds became %+v, want %+v", d.Thresholds, before)
+	}
+	if ths[0].P != 0.2 {
+		t.Fatalf("argument reordered to %+v", ths)
+	}
+	de, err := d.ScoreEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce, err := c.ScoreEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ce != de {
+		t.Fatal("copy has its own scoring engine, want the receiver's")
 	}
 }

@@ -116,8 +116,8 @@ func RefreshUpkeep(seed int64, repeats int) (*RefreshResult, error) {
 
 	// Fill the refresher's windows from fresh clean intervals the base
 	// model never trained on, then warm up past the first-refresh
-	// transient (scratch engines allocate once).
-	r, err := refresh.New(det, refresh.Config{Window: window, Holdout: holdout, HoldoutEvery: 4})
+	// transient.
+	r, err := refresh.New(det, refresh.Config{Window: window, Holdout: holdout})
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func RefreshUpkeep(seed int64, repeats int) (*RefreshResult, error) {
 	}
 	loop, err := refresh.NewLoop(sim.Detector(), sim.Registry(), refresh.LoopConfig{
 		Every:     60,
-		Refresher: refresh.Config{Window: 64, Holdout: 24, HoldoutEvery: 4},
+		Refresher: refresh.Config{Window: 64, Holdout: 24},
 	})
 	if err != nil {
 		return nil, err

@@ -203,10 +203,7 @@ func Train(data [][]float64, opts Options) (*Model, error) {
 
 	reg := opts.Reg
 	if mat.IsZero(reg) {
-		reg = 1e-6 * dataVariance(data)
-		if reg <= 0 {
-			reg = 1e-9
-		}
+		reg = dataReg(data)
 	}
 
 	// Each restart draws from its own generator and writes only its own
@@ -239,6 +236,17 @@ func Train(data [][]float64, opts Options) (*Model, error) {
 		return nil, fmt.Errorf("gmm: all %d restarts failed: %w", opts.Restarts, lastErr)
 	}
 	return best, nil
+}
+
+// dataReg is the default diagonal covariance regularization: 1e-6 of
+// the data's average per-dimension variance, or 1e-9 when that is not
+// positive.
+func dataReg(data [][]float64) float64 {
+	reg := 1e-6 * dataVariance(data)
+	if reg <= 0 {
+		reg = 1e-9
+	}
+	return reg
 }
 
 // dataVariance returns the average per-dimension variance.

@@ -9,31 +9,22 @@ package gmm
 import (
 	"fmt"
 
-	"github.com/memheatmap/mhm/internal/mat"
 	"github.com/memheatmap/mhm/internal/train"
 )
 
-// RefitOptions tunes Refit.
-type RefitOptions struct {
-	// MaxIter bounds the EM iterations (default 4). With BatchSize set
-	// the fit always runs exactly MaxIter iterations — the bounded-
-	// iteration refresh contract.
-	MaxIter int
-	// BatchSize, when positive, runs each iteration over one contiguous
-	// rotating mini-batch instead of the full window.
-	BatchSize int
-	// Reg is the diagonal covariance regularization (default derived
-	// from the data variance, as in Train).
-	Reg float64
-}
+// refitIter bounds Refit's EM iterations: a drifted-but-close start
+// converges in a few, and the refresh loop needs a bounded stall.
+const refitIter = 4
 
 // Refit warm-starts EM from prev over data and returns the refreshed
-// mixture. prev is not modified; the returned model owns its storage.
-// The component count and dimensionality are pinned to prev's — the
-// warm-start contract shared with pca.Refresh.
+// mixture after at most refitIter iterations, with the diagonal
+// regularization derived from the data variance as in Train. prev is
+// not modified; the returned model owns its storage. The component
+// count and dimensionality are pinned to prev's — the warm-start
+// contract shared with pca.Refresh.
 //
 //mhm:deterministic
-func Refit(data [][]float64, prev *Model, opts RefitOptions) (*Model, error) {
+func Refit(data [][]float64, prev *Model) (*Model, error) {
 	if prev == nil || len(prev.Components) == 0 {
 		return nil, fmt.Errorf("gmm: Refit: empty model: %w", ErrTraining)
 	}
@@ -45,16 +36,6 @@ func Refit(data [][]float64, prev *Model, opts RefitOptions) (*Model, error) {
 	for i, x := range data {
 		if len(x) != d {
 			return nil, fmt.Errorf("gmm: Refit: sample %d has dim %d, want %d: %w", i, len(x), d, ErrTraining)
-		}
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 4
-	}
-	reg := opts.Reg
-	if mat.IsZero(reg) {
-		reg = 1e-6 * dataVariance(data)
-		if reg <= 0 {
-			reg = 1e-9
 		}
 	}
 	warm := &train.EMModel{
@@ -72,12 +53,11 @@ func Refit(data [][]float64, prev *Model, opts RefitOptions) (*Model, error) {
 		}
 	}
 	fit, err := train.EMFit(data, nil, train.EMConfig{
-		K:         k,
-		MaxIter:   opts.MaxIter,
-		Tol:       1e-6,
-		Reg:       reg,
-		Warm:      warm,
-		BatchSize: opts.BatchSize,
+		K:       k,
+		MaxIter: refitIter,
+		Tol:     1e-6,
+		Reg:     dataReg(data),
+		Warm:    warm,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("gmm: Refit: %w", err)

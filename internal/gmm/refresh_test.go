@@ -35,7 +35,7 @@ func TestRefitTracksDriftedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Refit(shifted, prev, RefitOptions{})
+	warm, err := Refit(shifted, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func TestRefitRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Refit(data, nil, RefitOptions{}); err == nil {
+	if _, err := Refit(data, nil); err == nil {
 		t.Fatal("nil model accepted")
 	}
-	if _, err := Refit(nil, prev, RefitOptions{}); err == nil {
+	if _, err := Refit(nil, prev); err == nil {
 		t.Fatal("empty window accepted")
 	}
 	bad := [][]float64{{1, 2}}
-	if _, err := Refit(bad, prev, RefitOptions{}); err == nil {
+	if _, err := Refit(bad, prev); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }

@@ -22,11 +22,7 @@
 //
 // Dynamic interface calls and calls through func values are not
 // traversed — the annotated caller vouches for what it injects, exactly
-// as the hotpath analyzer treats func-valued callees. One class of func
-// value IS traversed: a reference to a //mhm:hotpath dispatch variable
-// (a runtime kernel dispatch table) reaches every function the module
-// statically binds to it, so whichever kernel init selects, its body
-// was walked.
+// as the hotpath analyzer treats func-valued callees.
 package lint
 
 import (
@@ -114,20 +110,7 @@ func detSet(prog *Program) map[types.Object]detReach {
 			if !ok {
 				return true
 			}
-			used := r.fn.pkg.Info.Uses[id]
-			// A dispatch-table reference reaches every kernel the module
-			// binds to the table: calls through the variable execute one
-			// of them, and which one is a CPU-feature choice the
-			// determinism contract must not depend on.
-			if prog.IsDispatchVar(used) {
-				for _, b := range prog.dispatchBind[used] {
-					if b.fn != nil {
-						enqueue(b.fn, r.root)
-					}
-				}
-				return true
-			}
-			fn, ok := used.(*types.Func)
+			fn, ok := r.fn.pkg.Info.Uses[id].(*types.Func)
 			if !ok || isInterfaceMethod(fn) {
 				return true
 			}

@@ -12,15 +12,6 @@
 //   - call a module-local function or method that is not itself
 //     annotated //mhm:hotpath, or make a dynamic (interface) call.
 //
-// The directive is also recognised on package-level func-typed
-// variables — runtime kernel dispatch tables, bound once at init.
-// Calls through such a variable are allowed in hot bodies because the
-// analyzer checks every binding site instead: a function assigned to a
-// //mhm:hotpath dispatch variable must itself carry the annotation,
-// and binding a closure or computed value is reported outright. This
-// closes the "caller vouches" escape hatch for the dispatch pattern —
-// whatever kernel init selects, it was checked.
-//
 // This is a syntactic approximation: stdlib calls outside the banned
 // list, interface boxing, map writes and string concatenation are not
 // modelled. Cold error paths inside hot functions are suppressed with
@@ -32,7 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // HotpathAnalyzer returns the hotpath analyzer.
@@ -68,41 +58,6 @@ func hotpathRun(prog *Program) []Diagnostic {
 					continue
 				}
 				checkHotBody(prog, pkg, fd, report)
-			}
-		}
-	}
-	out = append(out, checkDispatchBindings(prog)...)
-	return out
-}
-
-// checkDispatchBindings verifies every function bound to a hotpath
-// dispatch variable is itself annotated. Bindings are module-wide
-// facts, so they are checked once per run rather than per package.
-func checkDispatchBindings(prog *Program) []Diagnostic {
-	vars := make([]types.Object, 0, len(prog.dispatchVars))
-	for v := range prog.dispatchVars {
-		vars = append(vars, v)
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i].Pos() < vars[j].Pos() })
-	var out []Diagnostic
-	for _, v := range vars {
-		for _, b := range prog.dispatchBind[v] {
-			pos := prog.Fset.Position(b.pos)
-			switch {
-			case b.fn == nil:
-				out = append(out, Diagnostic{
-					Analyzer: "hotpath",
-					Pos:      pos,
-					Message: fmt.Sprintf("hotpath dispatch variable %s is bound to a dynamically computed value; bind a declared %s function",
-						v.Name(), HotpathDirective),
-				})
-			case !prog.IsHotpath(b.fn):
-				out = append(out, Diagnostic{
-					Analyzer: "hotpath",
-					Pos:      pos,
-					Message: fmt.Sprintf("hotpath dispatch variable %s is bound to %s, which is not annotated %s",
-						v.Name(), b.fn.Name(), HotpathDirective),
-				})
 			}
 		}
 	}

@@ -131,12 +131,6 @@ type Program struct {
 	hotpath       map[types.Object]bool
 	nilsafe       map[types.Object]bool
 	deterministic map[types.Object]bool
-	// dispatchVars marks package-level func-typed variables annotated
-	// //mhm:hotpath — runtime kernel dispatch tables. dispatchBind maps
-	// each to every value statically bound to it, whether in its
-	// declaration initializer or by assignment anywhere in the module.
-	dispatchVars map[types.Object]bool
-	dispatchBind map[types.Object][]dispatchBinding
 	// funcDecls maps every module-local function/method object to its
 	// declaration, for interprocedural analyzers (detorder, lockorder,
 	// goleak).
@@ -178,19 +172,6 @@ type funcDecl struct {
 	decl *ast.FuncDecl
 }
 
-// dispatchBinding is one value bound to a dispatch variable. fn is the
-// bound function object, or nil when the value is not a static function
-// reference (a closure or computed expression the analyzers cannot see
-// through).
-type dispatchBinding struct {
-	fn  types.Object
-	pos token.Pos
-}
-
-// IsDispatchVar reports whether obj is a package-level func-typed
-// variable annotated //mhm:hotpath — a runtime kernel dispatch table.
-func (p *Program) IsDispatchVar(obj types.Object) bool { return p.dispatchVars[obj] }
-
 // declOf returns the module-local declaration of a function object, or
 // nil when the object is not a declared module function (stdlib,
 // interface method, func value).
@@ -207,22 +188,12 @@ func (p *Program) scanFacts() {
 	p.hotpath = map[types.Object]bool{}
 	p.nilsafe = map[types.Object]bool{}
 	p.deterministic = map[types.Object]bool{}
-	p.dispatchVars = map[types.Object]bool{}
-	p.dispatchBind = map[types.Object][]dispatchBinding{}
 	p.funcDecls = map[types.Object]*funcDecl{}
 	p.ignores = map[string]map[int][]ignoreDirective{}
 	for _, pkg := range p.allSorted() {
 		for _, f := range pkg.Files {
 			p.scanAnnotations(pkg, f)
 			p.scanIgnores(f)
-		}
-	}
-	// Bindings are gathered in a second pass so assignments in one file
-	// (typically init) resolve against dispatch variables declared in
-	// another.
-	for _, pkg := range p.allSorted() {
-		for _, f := range pkg.Files {
-			p.scanDispatchBindings(pkg, f)
 		}
 	}
 }
@@ -240,8 +211,8 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// scanAnnotations records //mhm:hotpath functions and dispatch
-// variables, //mhm:deterministic functions, and //mhm:nilsafe types.
+// scanAnnotations records //mhm:hotpath and //mhm:deterministic
+// functions, and //mhm:nilsafe types.
 func (p *Program) scanAnnotations(pkg *Package, f *ast.File) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
@@ -270,79 +241,9 @@ func (p *Program) scanAnnotations(pkg *Package, f *ast.File) {
 						}
 					}
 				}
-			case token.VAR:
-				for _, spec := range d.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					if !hasDirective(vs.Doc, HotpathDirective) && !(len(d.Specs) == 1 && hasDirective(d.Doc, HotpathDirective)) {
-						continue
-					}
-					for _, name := range vs.Names {
-						obj := pkg.Info.Defs[name]
-						if obj == nil {
-							continue
-						}
-						// Only func-typed package-level variables form
-						// dispatch tables; the directive is meaningless on
-						// anything else.
-						if _, ok := obj.Type().Underlying().(*types.Signature); ok {
-							p.dispatchVars[obj] = true
-						}
-					}
-				}
 			}
 		}
 	}
-}
-
-// scanDispatchBindings records every value statically bound to a
-// dispatch variable: declaration initializers and plain assignments
-// (the init-time kernel selection pattern). nil bindings — clearing an
-// optional table — are not bindings.
-func (p *Program) scanDispatchBindings(pkg *Package, f *ast.File) {
-	record := func(lhs types.Object, rhs ast.Expr) {
-		if lhs == nil || !p.dispatchVars[lhs] {
-			return
-		}
-		rhs = ast.Unparen(rhs)
-		var fn types.Object
-		switch e := rhs.(type) {
-		case *ast.Ident:
-			if e.Name == "nil" {
-				return
-			}
-			if fo, ok := pkg.Info.Uses[e].(*types.Func); ok {
-				fn = fo
-			}
-		case *ast.SelectorExpr:
-			if fo, ok := pkg.Info.Uses[e.Sel].(*types.Func); ok {
-				fn = fo
-			}
-		}
-		p.dispatchBind[lhs] = append(p.dispatchBind[lhs], dispatchBinding{fn: fn, pos: rhs.Pos()})
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.ValueSpec:
-			for i, name := range node.Names {
-				if i < len(node.Values) {
-					record(pkg.Info.Defs[name], node.Values[i])
-				}
-			}
-		case *ast.AssignStmt:
-			if node.Tok != token.ASSIGN || len(node.Lhs) != len(node.Rhs) {
-				return true
-			}
-			for i, lhs := range node.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-					record(pkg.Info.Uses[id], node.Rhs[i])
-				}
-			}
-		}
-		return true
-	})
 }
 
 // scanIgnores indexes //mhmlint:ignore directives by file and line.

@@ -176,30 +176,3 @@ func (clock) value(x float64) float64 {
 func Free() int64 {
 	return time.Now().Unix()
 }
-
-// kernel is a runtime dispatch table; the detorder walk must reach
-// every function the package binds to it, because which binding runs
-// is a CPU-feature choice the determinism contract cannot depend on.
-//
-//mhm:hotpath
-var kernel func() float64 = safeKernel
-
-func init() {
-	kernel = clockKernel
-}
-
-// safeKernel is deterministic; reached through the table, no finding.
-func safeKernel() float64 { return 1.5 }
-
-// clockKernel is only ever called through the dispatch table.
-func clockKernel() float64 {
-	return float64(time.Now().UnixNano()) // want "clockKernel .deterministic via Project. calls time.Now"
-}
-
-// Project is the annotated root; its only path to clockKernel is the
-// call through the dispatch variable.
-//
-//mhm:deterministic
-func Project(x float64) float64 {
-	return x * kernel()
-}

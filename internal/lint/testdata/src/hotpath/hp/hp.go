@@ -65,41 +65,3 @@ func Cold(n int) string {
 	defer cold(n)
 	return fmt.Sprintf("%v %v", time.Now(), append([]int{}, n))
 }
-
-// dot is a runtime kernel dispatch table: the directive on a
-// func-typed package variable makes every binding site checkable.
-//
-//mhm:hotpath
-var dot func(n int) int = tick
-
-// mis is a dispatch table whose declaration initializer is already in
-// violation.
-//
-//mhm:hotpath
-var mis func(n int) int = cold // want "dispatch variable mis is bound to cold"
-
-// optional starts nil (a cleared table is not a binding).
-//
-//mhm:hotpath
-var optional func(n int) int
-
-func init() {
-	dot = cold              // want "dispatch variable dot is bound to cold, which is not annotated"
-	dot = func(n int) int { // want "dispatch variable dot is bound to a dynamically computed value"
-		return n
-	}
-	dot = tick
-	optional = nil
-	optional = tick
-}
-
-// Dispatch calls through the table from a hot body: legal, because
-// every function bound to dot was checked at its binding site.
-//
-//mhm:hotpath
-func Dispatch(n int) int {
-	if optional != nil {
-		n = optional(n)
-	}
-	return dot(n)
-}

@@ -14,14 +14,17 @@ import (
 	"github.com/memheatmap/mhm/internal/train"
 )
 
+// Refresh runs at most refreshIter warm-started subspace iterations —
+// enough for an incrementally drifted window; a cold-start-quality fit
+// goes through Train instead — and seeds the oversampling block's
+// random rows with refreshSeed.
+const (
+	refreshIter = 8
+	refreshSeed = 1
+)
+
 // RefreshOptions tunes Refresh.
 type RefreshOptions struct {
-	// MaxIter bounds the warm-started subspace iterations (default 8 —
-	// enough for an incrementally drifted window; a cold-start-quality
-	// fit should go through Train instead).
-	MaxIter int
-	// Seed seeds the oversampling block's random rows (default 1).
-	Seed int64
 	// Parallel splits the block of vectors into a few contiguous ranges
 	// and applies the covariance operator to each on its own goroutine;
 	// results are identical to the serial run.
@@ -46,15 +49,9 @@ func Refresh(prev *Model, sk *train.Centered, opts RefreshOptions) (*Model, erro
 	if sk.Len() < 2 || sk.Len() < lp {
 		return nil, fmt.Errorf("pca: Refresh: %d window samples for %d components: %w", sk.Len(), lp, ErrTraining)
 	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 8
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	eig, err := mat.EigenSymTopK(sk, lp, mat.TopKOptions{
-		MaxIter:  opts.MaxIter,
-		Seed:     opts.Seed,
+		MaxIter:  refreshIter,
+		Seed:     refreshSeed,
 		Parallel: opts.Parallel,
 		Init:     prev.Components,
 	})

@@ -11,7 +11,7 @@ import (
 // training window current. allocs/op must be 0.
 func BenchmarkCenteredObserve(b *testing.B) {
 	wl, det := fixture(b)
-	r := newRefresher(b, det, Config{Window: 192, Holdout: 64, HoldoutEvery: 4})
+	r := newRefresher(b, det, Config{Window: 192, Holdout: 64})
 	l := fleet.SimRegion.Cells()
 	v := make([]float64, l)
 	wl.VectorInto(v, 0, 1, false)
@@ -34,7 +34,7 @@ func BenchmarkCenteredObserve(b *testing.B) {
 // path the fleet loop runs every cycle.
 func BenchmarkRefreshIncremental(b *testing.B) {
 	wl, det := fixture(b)
-	r := newRefresher(b, det, Config{Window: 192, Holdout: 64, HoldoutEvery: 4})
+	r := newRefresher(b, det, Config{Window: 192, Holdout: 64})
 	feed(b, r, wl, det, 0, 300, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,13 +100,21 @@ func BenchmarkDeviceObserve(b *testing.B) {
 
 // BenchmarkDeviceRefreshIncremental times one incremental refresh
 // (warm eigen on the support, the window projection, warm EM and θ
-// recalibration) over a full device-shaped window.
+// recalibration) over a full device-shaped window, in the shape
+// refresh-mixed serves. As there, 64 new device intervals arrive
+// between refreshes, observed untimed: a warm EM over a window it has
+// already fitted stops after fewer iterations than serving runs.
 func BenchmarkDeviceRefreshIncremental(b *testing.B) {
-	r, _, _ := deviceBenchRefresher(b)
+	det := deviceDetector(b)
+	r := newRefresher(b, det, Config{Window: 192, Holdout: 64, Workers: 2})
+	feedDevice(b, r, det, 0, 300)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := r.Refresh()
+		b.StopTimer()
+		feedDevice(b, r, det, 300+64*i, 64)
+		b.StartTimer()
+		res, err := r.refresh(false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,22 +126,21 @@ func BenchmarkDeviceRefreshIncremental(b *testing.B) {
 
 // BenchmarkDeviceRefreshFull times the full rebuild (pca.Train and
 // gmm.Train from scratch over the window, then θ recalibration) on the
-// device-shaped window of BenchmarkDeviceRefreshIncremental. With
-// RebuildEvery: 1 the refreshes alternate between the two paths; each
-// op runs the incremental one untimed and then times the full one.
+// device-shaped window of BenchmarkDeviceRefreshIncremental. Each op
+// runs an incremental refresh untimed and then times a full one.
 func BenchmarkDeviceRefreshFull(b *testing.B) {
 	det := deviceDetector(b)
-	r := newRefresher(b, det, Config{Window: 192, Holdout: 64, RebuildEvery: 1, DriftThreshold: 1e12, Workers: 2})
+	r := newRefresher(b, det, Config{Window: 192, Holdout: 64, Workers: 2})
 	feedDevice(b, r, det, 0, 300)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if res, err := r.Refresh(); err != nil || res.FullRebuild {
+		if res, err := r.refresh(false); err != nil || res.FullRebuild {
 			b.Fatalf("untimed refresh: err %v, want the incremental path", err)
 		}
 		b.StartTimer()
-		res, err := r.Refresh()
+		res, err := r.refresh(true)
 		if err != nil {
 			b.Fatal(err)
 		}

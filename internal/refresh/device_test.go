@@ -131,10 +131,10 @@ func refreshOutcome(res *Result, err error) string {
 // TestRefreshDeviceGoldenBits pins the exact bits of a refresh chain on
 // device-shaped windows — L = 1,472 with integer counts on about 46
 // cells per interval from a fixed 60-cell support, window 192, holdout
-// 64 — through three incremental refreshes, the full rebuild the
-// RebuildEvery cadence forces, and one more incremental refresh, at one
-// and two workers. Unlike the simulator region of TestRefreshGoldenBits,
-// most cells here are zero in every held sample.
+// 64 — through three incremental refreshes, a full rebuild, and one
+// more incremental refresh, at one and two workers. Unlike the
+// simulator region of TestRefreshGoldenBits, most cells here are zero
+// in every held sample.
 func TestRefreshDeviceGoldenBits(t *testing.T) {
 	golden := []string{
 		"0x93fd2dfd1bcaba23 full=false",
@@ -145,10 +145,10 @@ func TestRefreshDeviceGoldenBits(t *testing.T) {
 	}
 	det := deviceDetector(t)
 	for _, workers := range []int{1, 2} {
-		r := newRefresher(t, det, Config{Window: 192, Holdout: 64, RebuildEvery: 3, DriftThreshold: 1e12, Workers: workers})
+		r := newRefresher(t, det, Config{Window: 192, Holdout: 64, Workers: workers})
 		feedDevice(t, r, det, 0, 256)
 		for step, want := range golden {
-			if got := refreshOutcome(r.Refresh()); got != want {
+			if got := refreshOutcome(r.refresh(step == 3)); got != want {
 				t.Errorf("workers=%d step %d: %s, golden %s", workers, step, got, want)
 			}
 			feedDevice(t, r, det, 256+48*step, 48)
@@ -161,7 +161,7 @@ func TestRefreshDeviceGoldenBits(t *testing.T) {
 // — at one and two workers. Each window fills the 192-sample training
 // ring and the 64-sample holdout; the first refresh takes the warm path
 // (falling back to a full rebuild if the warm fit fails) and the second
-// is the full rebuild RebuildEvery forces.
+// is a full rebuild.
 func TestRefreshAdversarialWindows(t *testing.T) {
 	l := deviceRegion.Cells()
 	window := func(n int, fill func(v []float64, i int)) [][]float64 {
@@ -203,10 +203,10 @@ func TestRefreshAdversarialWindows(t *testing.T) {
 	det := deviceDetector(t)
 	for _, c := range cases {
 		for _, workers := range []int{1, 2} {
-			r := newRefresher(t, det, Config{Window: 192, Holdout: 64, RebuildEvery: 1, DriftThreshold: 1e12, Workers: workers})
+			r := newRefresher(t, det, Config{Window: 192, Holdout: 64, Workers: workers})
 			observeAll(t, r, det, c.samples...)
 			for step, want := range c.golden {
-				if got := refreshOutcome(r.Refresh()); got != want {
+				if got := refreshOutcome(r.refresh(step == 1)); got != want {
 					t.Errorf("%s workers=%d step %d: %s, golden %s", c.name, workers, step, got, want)
 				}
 			}
@@ -223,7 +223,7 @@ func TestObserveNegativeZeroKeepsModel(t *testing.T) {
 	det := deviceDetector(t)
 	negZero := math.Copysign(0, -1)
 	for _, workers := range []int{1, 2} {
-		cfg := Config{Window: 192, Holdout: 64, RebuildEvery: 1, DriftThreshold: 1e12, Workers: workers}
+		cfg := Config{Window: 192, Holdout: 64, Workers: workers}
 		plain, signed := newRefresher(t, det, cfg), newRefresher(t, det, cfg)
 		v := make([]float64, deviceRegion.Cells())
 		for i := 0; i < 256; i++ {
@@ -237,8 +237,8 @@ func TestObserveNegativeZeroKeepsModel(t *testing.T) {
 			observeAll(t, signed, det, v)
 		}
 		for step := 0; step < 2; step++ {
-			want := refreshOutcome(plain.Refresh())
-			if got := refreshOutcome(signed.Refresh()); got != want {
+			want := refreshOutcome(plain.refresh(step == 1))
+			if got := refreshOutcome(signed.refresh(step == 1)); got != want {
 				t.Errorf("workers=%d step %d: −0 intervals refresh to %s, +0 intervals to %s", workers, step, got, want)
 			}
 		}

@@ -42,9 +42,8 @@ func detectorBits(det *core.Detector) uint64 {
 }
 
 // TestRefreshGoldenBits pins the exact bits of a seeded refresh chain —
-// three incremental refreshes, then the full rebuild the RebuildEvery
-// cadence forces, then one more incremental refresh off the rebuilt
-// model — at one and two workers. Any change to the covariance
+// three incremental refreshes, then a full rebuild, then one more
+// incremental refresh off the rebuilt model — at one and two workers. Any change to the covariance
 // operator, the subspace iteration, the warm EM or the θ_p
 // recalibration that moves a single bit fails here.
 func TestRefreshGoldenBits(t *testing.T) {
@@ -58,10 +57,10 @@ func TestRefreshGoldenBits(t *testing.T) {
 	wantFull := []bool{false, false, false, true, false}
 	for _, workers := range []int{1, 2} {
 		wl, det := fixture(t)
-		r := newRefresher(t, det, Config{Window: 64, Holdout: 24, HoldoutEvery: 4, RebuildEvery: 3, DriftThreshold: 1e12, Workers: workers})
+		r := newRefresher(t, det, Config{Window: 64, Holdout: 24, Workers: workers})
 		feed(t, r, wl, det, 0, 90, false)
 		for step := range golden {
-			res, err := r.Refresh()
+			res, err := r.refresh(wantFull[step])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,17 +19,18 @@ type LoopConfig struct {
 	// Every triggers a refresh after that many clean (non-anomalous)
 	// observed intervals (default 256).
 	Every int
-	// Lead places each published swap Lead intervals past the highest
-	// per-stream index observed so far (default 2), so the boundary is
-	// still ahead of every stream and the cutover is exact.
-	Lead int
 	// Quantile selects the published models' decision threshold
-	// (default 0.01). It is forced into the Refresher's recalibration
-	// quantile set.
+	// (default 0.01). The base detector must carry it, so every
+	// recalibration re-derives it.
 	Quantile float64
 	// Refresher configures the underlying model maintenance.
 	Refresher Config
 }
+
+// swapLead places each published swap swapLead intervals past the
+// highest per-stream index observed so far, so the boundary is still
+// ahead of every stream and the cutover is exact.
+const swapLead = 2
 
 // LoopStats is a point-in-time snapshot of loop activity.
 type LoopStats struct {
@@ -65,9 +66,9 @@ type Loop struct {
 var _ fleet.ModelMaintainer = (*Loop)(nil)
 
 // NewLoop builds a refresh loop seeded from the fleet's base detector.
-// The detector must expose a threshold at cfg.Quantile (the published
-// models need it), and the Refresher's recalibration set is extended to
-// include it.
+// The detector must expose a threshold at cfg.Quantile: the published
+// models need it, and the Refresher recalibrates at the detector's P
+// values.
 func NewLoop(det *core.Detector, reg *fleet.Registry, cfg LoopConfig) (*Loop, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("refresh: nil registry: %w", ErrConfig)
@@ -75,31 +76,17 @@ func NewLoop(det *core.Detector, reg *fleet.Registry, cfg LoopConfig) (*Loop, er
 	if cfg.Every == 0 {
 		cfg.Every = 256
 	}
-	if cfg.Lead == 0 {
-		cfg.Lead = 2
-	}
 	if cfg.Quantile == 0 {
 		cfg.Quantile = 0.01
 	}
-	if cfg.Every < 1 || cfg.Lead < 1 || !(cfg.Quantile > 0) || cfg.Quantile >= 1 {
-		return nil, fmt.Errorf("refresh: every=%d lead=%d quantile=%g: %w",
-			cfg.Every, cfg.Lead, cfg.Quantile, ErrConfig)
+	if cfg.Every < 1 || !(cfg.Quantile > 0) || cfg.Quantile >= 1 {
+		return nil, fmt.Errorf("refresh: every=%d quantile=%g: %w", cfg.Every, cfg.Quantile, ErrConfig)
 	}
 	if det == nil {
 		return nil, fmt.Errorf("refresh: nil detector: %w", ErrConfig)
 	}
 	if _, err := det.Threshold(cfg.Quantile); err != nil {
 		return nil, fmt.Errorf("refresh: base detector lacks θ at p=%g: %w", cfg.Quantile, err)
-	}
-	has := false
-	for _, p := range cfg.Refresher.Quantiles {
-		if p == cfg.Quantile {
-			has = true
-			break
-		}
-	}
-	if !has && len(cfg.Refresher.Quantiles) > 0 {
-		cfg.Refresher.Quantiles = append(cfg.Refresher.Quantiles, cfg.Quantile)
 	}
 	r, err := New(det, cfg.Refresher)
 	if err != nil {
@@ -110,7 +97,7 @@ func NewLoop(det *core.Detector, reg *fleet.Registry, cfg LoopConfig) (*Loop, er
 
 // Observe implements fleet.ModelMaintainer. Clean intervals feed the
 // Refresher; every cfg.Every-th clean interval triggers a refresh and a
-// fleet-wide coalescing swap at boundary maxIdx+Lead. Errors are
+// fleet-wide coalescing swap at boundary maxIdx+swapLead. Errors are
 // retained (see Err) rather than surfaced — a failed refresh leaves the
 // fleet on its current model, which is the correct degraded mode.
 //
@@ -145,7 +132,7 @@ func (l *Loop) Observe(stream, scoredIdx int, anomalous bool, density float64, v
 		l.version--
 		return
 	}
-	if err := l.reg.SwapAllAtCoalesce(l.maxIdx+l.cfg.Lead, m); err != nil {
+	if err := l.reg.SwapAllAtCoalesce(l.maxIdx+swapLead, m); err != nil {
 		l.lastErr = err
 		return
 	}

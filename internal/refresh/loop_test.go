@@ -21,10 +21,9 @@ func runSimWithLoop(t *testing.T, workers int) (*fleet.SimResult, LoopStats, err
 	loop, err := NewLoop(sim.Detector(), sim.Registry(), LoopConfig{
 		Every: 60,
 		Refresher: Config{
-			Window:       64,
-			Holdout:      24,
-			HoldoutEvery: 4,
-			Workers:      workers,
+			Window:  64,
+			Holdout: 24,
+			Workers: workers,
 		},
 	})
 	if err != nil {

@@ -5,14 +5,14 @@
 // sliding-window covariance sketch (train.Centered, whose updates pay
 // only for each interval's occupied cells, with zero allocations),
 // warm-started subspace iteration from the previous eigenmemory basis
-// (pca.Refresh), and warm-start mini-batch EM seeded from the live
-// mixture (gmm.Refit, a small bounded number of blocked iterations) —
-// then recalibrates the θ_p thresholds on a sliding
-// held-out window of recent normal intervals. A one-sided CUSUM over
-// the standardized holdout densities (ensemble.CusumState) raises a
-// drift alarm when the normal-density distribution shifts; the next
-// Refresh then takes the slow path, a full from-scratch retrain over
-// the window, and re-baselines the drift channel.
+// (pca.Refresh), and warm-start EM seeded from the live mixture
+// (gmm.Refit, a small bounded number of blocked iterations) — then
+// recalibrates the θ_p thresholds on a sliding held-out window of
+// recent normal intervals. A one-sided CUSUM over the standardized
+// holdout densities (ensemble.CusumState) raises a drift alarm when the
+// normal-density distribution shifts; the next Refresh then takes the
+// slow path, a full from-scratch retrain over the window, and
+// re-baselines the drift channel.
 //
 // Determinism contract: for a fixed observation history every refreshed
 // model is bit-identical for every worker count, including under -race
@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/memheatmap/mhm/internal/core"
 	"github.com/memheatmap/mhm/internal/ensemble"
@@ -33,7 +32,6 @@ import (
 	"github.com/memheatmap/mhm/internal/heatmap"
 	"github.com/memheatmap/mhm/internal/mat"
 	"github.com/memheatmap/mhm/internal/pca"
-	"github.com/memheatmap/mhm/internal/score"
 	"github.com/memheatmap/mhm/internal/stats"
 	"github.com/memheatmap/mhm/internal/train"
 )
@@ -55,46 +53,30 @@ type Config struct {
 	Window int
 	// Holdout is the held-out calibration window capacity (default 64;
 	// negative disables the holdout entirely, so θ_p carries over and no
-	// drift channel is fitted). Held-out intervals never enter the
-	// training window; θ_p recalibration and the drift channel are
-	// fitted on them.
+	// drift channel is fitted). Every fourth observed normal interval
+	// goes to it instead of the training window; θ_p recalibration and
+	// the drift channel are fitted on it.
 	Holdout int
-	// HoldoutEvery routes every Nth observed normal interval to the
-	// holdout window instead of the training window (default 4; negative
-	// disables the routing).
-	HoldoutEvery int
-	// EigenIter bounds the warm-started subspace iterations per
-	// incremental refresh (default 8).
-	EigenIter int
-	// EMIter bounds the warm-start EM iterations per incremental
-	// refresh (default 4).
-	EMIter int
-	// EMBatch, when positive, runs each EM iteration over a rotating
-	// contiguous mini-batch of that many window samples.
-	EMBatch int
-	// Quantiles are the θ_p probabilities to recalibrate. Default: the
-	// P values of the seed detector's thresholds.
-	Quantiles []float64
-	// DriftK is the CUSUM allowance in |z| units (default
-	// ensemble.DriftK).
-	DriftK float64
-	// DriftThreshold is the accumulator level that raises the drift
-	// alarm (default 16).
-	DriftThreshold float64
-	// RebuildEvery forces a full rebuild every N refreshes regardless of
-	// drift (0 = rebuild only on a drift alarm).
-	RebuildEvery int
 	// Workers bounds the goroutines of the full rebuild: its EM
 	// restarts run side by side, and pca.Train's build and the sketch
 	// Rebuild split their dimension tiles. Above 1 it also splits the
 	// PCA block apply of both paths. Observe and the warm EM refit run
 	// serially. Results are bit-identical for every value.
 	Workers int
-	// Seed seeds the full-rebuild training paths (default 1).
-	Seed int64
 }
 
-func (c *Config) fill() error {
+const (
+	// holdoutEvery routes every 4th observed normal interval to the
+	// holdout window, unless Holdout disables it.
+	holdoutEvery = 4
+	// driftThreshold is the CUSUM accumulator level (in |z| units, with
+	// allowance ensemble.DriftK) that raises the drift alarm.
+	driftThreshold = 16
+	// rebuildSeed seeds the full rebuild's PCA and EM restarts.
+	rebuildSeed = 1
+)
+
+func (c *Config) fill() {
 	if c.Window == 0 {
 		c.Window = 192
 	}
@@ -103,39 +85,9 @@ func (c *Config) fill() error {
 	} else if c.Holdout < 0 {
 		c.Holdout = 0
 	}
-	if c.HoldoutEvery == 0 {
-		c.HoldoutEvery = 4
-	} else if c.HoldoutEvery < 0 {
-		c.HoldoutEvery = 0
-	}
-	if c.EigenIter == 0 {
-		c.EigenIter = 8
-	}
-	if c.EMIter == 0 {
-		c.EMIter = 4
-	}
-	if c.DriftK == 0 {
-		c.DriftK = ensemble.DriftK
-	}
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = 16
-	}
 	if c.Workers < 1 {
 		c.Workers = 1
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Window < 2 || c.EMBatch < 0 || c.RebuildEvery < 0 {
-		return fmt.Errorf("refresh: window=%d holdout=%d holdoutEvery=%d emBatch=%d rebuildEvery=%d: %w",
-			c.Window, c.Holdout, c.HoldoutEvery, c.EMBatch, c.RebuildEvery, ErrConfig)
-	}
-	for i, p := range c.Quantiles {
-		if !(p > 0) || p >= 1 || slices.Contains(c.Quantiles[:i], p) {
-			return fmt.Errorf("refresh: quantile %g out of (0,1) or repeated: %w", p, ErrConfig)
-		}
-	}
-	return nil
 }
 
 // Result describes one completed refresh.
@@ -143,7 +95,8 @@ type Result struct {
 	// Detector is the refreshed model with the fused scoring runtime
 	// installed and the recalibrated thresholds.
 	Detector *core.Detector
-	// FullRebuild reports the slow path ran (drift alarm or cadence).
+	// FullRebuild reports the slow path ran (a drift alarm, or a warm fit
+	// that failed).
 	FullRebuild bool
 	// Recalibrated reports whether θ_p was re-derived from the holdout
 	// window; false (thresholds carried over) when the holdout is empty.
@@ -170,7 +123,7 @@ type Refresher struct {
 	sketch *train.Centered
 	cells  []int32 // Observe's list of occupied cells, capacity L
 
-	hold     []float64 // Holdout×L ring backing
+	hold     [][]float64 // Holdout ring rows of length L, one backing
 	holdN    int
 	holdHead int
 
@@ -179,42 +132,34 @@ type Refresher struct {
 	set     [][]float64 // Window sample views, reused by the rebuild path
 	dens    []float64   // holdout density scratch
 
-	probe       *score.Engine // private repacked calibration engine
-	probeScorer *score.Scorer
-
 	channel ensemble.Channel
 	chanOK  bool
 	cusum   ensemble.CusumState
 	drift   bool
 
-	seen         int
-	sinceRebuild int
+	seen int
 
 	refreshes, fullRebuilds, driftAlarms int
 }
 
 // New builds a Refresher seeded from a live detector. The detector's
 // models are referenced as the warm-start state; they are not modified.
+// Every refresh recalibrates θ_p at the P values of the detector's
+// thresholds.
 func New(det *core.Detector, cfg Config) (*Refresher, error) {
 	if det == nil || det.PCA == nil || det.GMM == nil {
 		return nil, fmt.Errorf("refresh: nil detector or models: %w", ErrConfig)
 	}
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
+	cfg.fill()
 	l, lp := det.PCA.Dim()
 	if cfg.Window < lp+2 {
 		return nil, fmt.Errorf("refresh: window %d below L'+2=%d: %w", cfg.Window, lp+2, ErrConfig)
-	}
-	if len(cfg.Quantiles) == 0 {
-		for _, th := range det.Thresholds {
-			cfg.Quantiles = append(cfg.Quantiles, th.P)
-		}
 	}
 	sk, err := train.NewCentered(l, cfg.Window, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("refresh: %w", err)
 	}
+	hold := make([]float64, cfg.Holdout*l)
 	r := &Refresher{
 		cfg:        cfg,
 		region:     det.Region,
@@ -225,7 +170,7 @@ func New(det *core.Detector, cfg Config) (*Refresher, error) {
 		thresholds: append([]core.Threshold(nil), det.Thresholds...),
 		sketch:     sk,
 		cells:      make([]int32, l),
-		hold:       make([]float64, cfg.Holdout*l),
+		hold:       make([][]float64, cfg.Holdout),
 		reduced:    make([][]float64, cfg.Window),
 		redBack:    make([]float64, cfg.Window*lp),
 		set:        make([][]float64, cfg.Window),
@@ -234,12 +179,15 @@ func New(det *core.Detector, cfg Config) (*Refresher, error) {
 	for i := range r.reduced {
 		r.reduced[i] = r.redBack[i*lp : (i+1)*lp]
 	}
+	for i := range r.hold {
+		r.hold[i] = hold[i*l : (i+1)*l]
+	}
 	return r, nil
 }
 
 // Observe feeds one normal (non-anomalous-verdict) interval: its raw
 // MHM vector and the log density the live model assigned it. Every
-// HoldoutEvery-th interval lands in the held-out calibration ring; the
+// holdoutEvery-th interval lands in the held-out calibration ring; the
 // rest update the training sketch. The density drives the drift CUSUM.
 // One scan lists v's occupied cells; the finiteness check and the
 // sketch update read only those. A vector with a NaN or ±Inf entry is
@@ -261,14 +209,14 @@ func (r *Refresher) Observe(v []float64, logDensity float64) error {
 	r.seen++
 	if r.chanOK {
 		z := r.channel.Z(logDensity)
-		s := r.cusum.Step(math.Abs(z), r.cfg.DriftK)
-		if s >= r.cfg.DriftThreshold && !r.drift {
+		s := r.cusum.Step(math.Abs(z), ensemble.DriftK)
+		if s >= driftThreshold && !r.drift {
 			r.drift = true
 			r.driftAlarms++
 		}
 	}
-	if r.cfg.Holdout > 0 && r.cfg.HoldoutEvery > 0 && r.seen%r.cfg.HoldoutEvery == 0 {
-		copy(r.hold[r.holdHead*r.l:(r.holdHead+1)*r.l], v)
+	if r.cfg.Holdout > 0 && r.seen%holdoutEvery == 0 {
+		copy(r.hold[r.holdHead], v)
 		r.holdHead = (r.holdHead + 1) % r.cfg.Holdout
 		if r.holdN < r.cfg.Holdout {
 			r.holdN++
@@ -319,15 +267,20 @@ func (r *Refresher) Counters() (int, int, int) {
 }
 
 // Refresh derives a new detector from the current windows. The fast
-// path warm-starts both models from the live ones; a drift alarm or the
-// RebuildEvery cadence forces the full from-scratch path (which also
-// re-derives the sketch sums exactly). θ_p is recalibrated on the
-// holdout window when it is non-empty, with the quantile set pinned at
-// construction; an empty holdout carries the previous thresholds over.
-// The refreshed models become the next warm-start state.
+// path warm-starts both models from the live ones; a drift alarm forces
+// the full from-scratch path (which also re-derives the sketch sums
+// exactly). θ_p is recalibrated on the holdout window when it is
+// non-empty, at the P values of the seed detector's thresholds; an empty
+// holdout carries the previous thresholds over. The refreshed models
+// become the next warm-start state. A failed refresh publishes nothing.
 //
 //mhm:deterministic
-func (r *Refresher) Refresh() (*Result, error) {
+func (r *Refresher) Refresh() (*Result, error) { return r.refresh(r.drift) }
+
+// refresh runs Refresh on the full path when full is set, and otherwise
+// on the warm path, falling back to the full one when the warm fit
+// fails.
+func (r *Refresher) refresh(full bool) (*Result, error) {
 	n := r.sketch.Len()
 	if n < r.lp+2 {
 		return nil, fmt.Errorf("refresh: %d window samples for L'=%d: %w", n, r.lp, ErrNotReady)
@@ -337,8 +290,6 @@ func (r *Refresher) Refresh() (*Result, error) {
 		WindowLen:  n,
 		HoldoutLen: r.holdN,
 	}
-	full := r.drift || (r.cfg.RebuildEvery > 0 && r.sinceRebuild >= r.cfg.RebuildEvery)
-
 	newPCA, newGMM, err := r.fitModels(n, full)
 	if err != nil && !full {
 		// The warm path can lose a component (covariance collapse on a
@@ -351,35 +302,15 @@ func (r *Refresher) Refresh() (*Result, error) {
 	}
 	res.FullRebuild = full
 
-	thresholds := r.thresholds
-	if r.holdN > 0 && len(r.cfg.Quantiles) > 0 {
-		if err := r.scoreHoldout(newPCA, newGMM); err != nil {
-			return nil, err
-		}
-		dens := r.dens[:r.holdN]
-		thresholds = make([]core.Threshold, 0, len(r.cfg.Quantiles))
-		for _, p := range r.cfg.Quantiles {
-			theta, err := stats.Quantile(dens, p)
-			if err != nil {
-				return nil, fmt.Errorf("refresh: θ_%g: %w", p, err)
-			}
-			thresholds = append(thresholds, core.Threshold{P: p, Theta: theta})
-		}
-		res.Recalibrated = true
-		// Re-baseline the drift channel on the holdout densities under
-		// the new model; a degenerate window (all-identical densities
-		// hit the Std floor inside FitChannel) still yields a channel.
-		if ch, err := ensemble.FitChannel(dens); err == nil {
-			r.channel = ch
-			r.chanOK = true
-		} else {
-			r.chanOK = false
-		}
-	}
-
-	det, err := core.NewDetector(r.region, newPCA, newGMM, thresholds)
+	det, err := core.NewDetector(r.region, newPCA, newGMM, r.thresholds)
 	if err != nil {
 		return nil, fmt.Errorf("refresh: %w", err)
+	}
+	if r.holdN > 0 && len(det.Thresholds) > 0 {
+		if det, err = r.recalibrate(det); err != nil {
+			return nil, err
+		}
+		res.Recalibrated = true
 	}
 
 	r.pcaM, r.gmmM, r.thresholds = newPCA, newGMM, det.Thresholds
@@ -388,9 +319,6 @@ func (r *Refresher) Refresh() (*Result, error) {
 	r.refreshes++
 	if full {
 		r.fullRebuilds++
-		r.sinceRebuild = 0
-	} else {
-		r.sinceRebuild++
 	}
 	res.Detector = det
 	return res, nil
@@ -408,7 +336,7 @@ func (r *Refresher) fitModels(n int, full bool) (*pca.Model, *gmm.Model, error) 
 		}
 		newPCA, err = pca.Train(set, pca.Options{
 			Components: r.lp,
-			Seed:       r.cfg.Seed,
+			Seed:       rebuildSeed,
 			Workers:    r.cfg.Workers,
 			Parallel:   r.cfg.Workers > 1,
 		})
@@ -419,11 +347,7 @@ func (r *Refresher) fitModels(n int, full bool) (*pca.Model, *gmm.Model, error) 
 		// is authoritative anyway.
 		r.sketch.Rebuild()
 	} else {
-		newPCA, err = pca.Refresh(r.pcaM, r.sketch, pca.RefreshOptions{
-			MaxIter:  r.cfg.EigenIter,
-			Seed:     r.cfg.Seed,
-			Parallel: r.cfg.Workers > 1,
-		})
+		newPCA, err = pca.Refresh(r.pcaM, r.sketch, pca.RefreshOptions{Parallel: r.cfg.Workers > 1})
 		if err != nil {
 			return nil, nil, fmt.Errorf("refresh: incremental PCA: %w", err)
 		}
@@ -443,17 +367,14 @@ func (r *Refresher) fitModels(n int, full bool) (*pca.Model, *gmm.Model, error) 
 		newGMM, err = gmm.Train(reduced, gmm.Options{
 			Components: len(r.gmmM.Components),
 			Restarts:   2,
-			Seed:       r.cfg.Seed,
+			Seed:       rebuildSeed,
 			Workers:    r.cfg.Workers,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("refresh: full GMM: %w", err)
 		}
 	} else {
-		newGMM, err = gmm.Refit(reduced, r.gmmM, gmm.RefitOptions{
-			MaxIter:   r.cfg.EMIter,
-			BatchSize: r.cfg.EMBatch,
-		})
+		newGMM, err = gmm.Refit(reduced, r.gmmM)
 		if err != nil {
 			return nil, nil, fmt.Errorf("refresh: warm GMM: %w", err)
 		}
@@ -461,25 +382,35 @@ func (r *Refresher) fitModels(n int, full bool) (*pca.Model, *gmm.Model, error) 
 	return newPCA, newGMM, nil
 }
 
-// scoreHoldout scores the held-out ring under the candidate models into
-// r.dens, through the private repacked probe engine — the only engine
-// this package mutates in place, per score.Repack's exclusive-ownership
-// contract (published engines are always freshly built by NewDetector).
-func (r *Refresher) scoreHoldout(p *pca.Model, g *gmm.Model) error {
-	probe, err := score.Repack(r.probe, p, g)
-	if err != nil {
-		return fmt.Errorf("refresh: probe engine: %w", err)
+// recalibrate scores the held-out ring under the candidate detector,
+// re-derives each of its thresholds' θ_p from those densities, and
+// re-baselines the drift channel on them. It returns the candidate with
+// the new thresholds; the candidate's scoring engine is the one the
+// published detector serves with.
+func (r *Refresher) recalibrate(cand *core.Detector) (*core.Detector, error) {
+	dens := r.dens[:r.holdN]
+	if err := cand.LogDensityBatch(dens, r.hold[:r.holdN]); err != nil {
+		return nil, fmt.Errorf("refresh: holdout: %w", err)
 	}
-	if probe != r.probe || r.probeScorer == nil {
-		r.probe = probe
-		r.probeScorer = probe.NewScorer()
-	}
-	for i := 0; i < r.holdN; i++ {
-		d, err := r.probeScorer.Score(r.hold[i*r.l : (i+1)*r.l])
+	ths := make([]core.Threshold, len(cand.Thresholds))
+	for i, th := range cand.Thresholds {
+		theta, err := stats.Quantile(dens, th.P)
 		if err != nil {
-			return fmt.Errorf("refresh: holdout %d: %w", i, err)
+			return nil, fmt.Errorf("refresh: θ_%g: %w", th.P, err)
 		}
-		r.dens[i] = d
+		ths[i] = core.Threshold{P: th.P, Theta: theta}
 	}
-	return nil
+	det, err := cand.WithThresholds(ths)
+	if err != nil {
+		return nil, fmt.Errorf("refresh: %w", err)
+	}
+	// A degenerate window (all-identical densities hit the Std floor
+	// inside FitChannel) still yields a channel.
+	if ch, err := ensemble.FitChannel(dens); err == nil {
+		r.channel = ch
+		r.chanOK = true
+	} else {
+		r.chanOK = false
+	}
+	return det, nil
 }

@@ -59,7 +59,7 @@ func newRefresher(t testing.TB, det *core.Detector, cfg Config) *Refresher {
 // that classify like the original's.
 func TestRefreshIncrementalPath(t *testing.T) {
 	wl, det := fixture(t)
-	r := newRefresher(t, det, Config{Window: 64, Holdout: 32, HoldoutEvery: 3})
+	r := newRefresher(t, det, Config{Window: 64, Holdout: 32})
 	if r.Ready() {
 		t.Fatal("ready before any observation")
 	}
@@ -129,7 +129,7 @@ func TestRefreshIncrementalPath(t *testing.T) {
 func TestRefreshDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *core.Detector {
 		wl, det := fixture(t)
-		r := newRefresher(t, det, Config{Window: 64, Holdout: 24, HoldoutEvery: 4, Workers: workers})
+		r := newRefresher(t, det, Config{Window: 64, Holdout: 24, Workers: workers})
 		feed(t, r, wl, det, 0, 90, false)
 		res, err := r.Refresh()
 		if err != nil {
@@ -200,13 +200,58 @@ func TestRefreshEmptyHoldoutKeepsThresholds(t *testing.T) {
 	}
 }
 
+// TestRefreshRecalibratesSeedQuantiles checks that refreshed thresholds
+// carry exactly the seed detector's P values, sorted, and that a seed
+// whose thresholds repeat a P fails the refresh with core.ErrConfig and
+// publishes nothing.
+func TestRefreshRecalibratesSeedQuantiles(t *testing.T) {
+	wl, det := fixture(t)
+	refreshed := func(ths []core.Threshold) (*Refresher, *Result, error) {
+		seed := *det
+		seed.Thresholds = ths
+		r := newRefresher(t, &seed, Config{Window: 64, Holdout: 24})
+		feed(t, r, wl, det, 0, 90, false)
+		res, err := r.Refresh()
+		return r, res, err
+	}
+	for _, c := range []struct {
+		seed  []core.Threshold
+		wantP []float64
+	}{
+		{[]core.Threshold{{P: 0.05, Theta: -1}}, []float64{0.05}},
+		{[]core.Threshold{{P: 0.2, Theta: -1}, {P: 0.01, Theta: -2}, {P: 0.05, Theta: -3}}, []float64{0.01, 0.05, 0.2}},
+	} {
+		_, res, err := refreshed(c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Recalibrated {
+			t.Fatalf("seed %+v: θ not recalibrated", c.seed)
+		}
+		var gotP []float64
+		for _, th := range res.Detector.Thresholds {
+			gotP = append(gotP, th.P)
+		}
+		if !slices.Equal(gotP, c.wantP) {
+			t.Fatalf("seed %+v: refreshed P values %v, want %v", c.seed, gotP, c.wantP)
+		}
+	}
+	r, res, err := refreshed([]core.Threshold{{P: 0.01, Theta: -1}, {P: 0.005, Theta: -2}, {P: 0.01, Theta: -3}})
+	if !errors.Is(err, core.ErrConfig) || res != nil {
+		t.Fatalf("repeated seed P: result %v, err %v, want core.ErrConfig", res, err)
+	}
+	if n, _, _ := r.Counters(); n != 0 || r.pcaM != det.PCA || r.gmmM != det.GMM {
+		t.Fatalf("failed refresh published: %d refreshes, warm state replaced %t", n, r.pcaM != det.PCA || r.gmmM != det.GMM)
+	}
+}
+
 // TestRefreshIdenticalDensities pins the degenerate-calibration edge
 // case: a holdout of identical vectors produces identical densities,
 // and every recalibrated θ_p collapses to that single density without
 // error.
 func TestRefreshIdenticalDensities(t *testing.T) {
 	wl, det := fixture(t)
-	r := newRefresher(t, det, Config{Window: 64, Holdout: 16, HoldoutEvery: 2})
+	r := newRefresher(t, det, Config{Window: 64, Holdout: 16})
 	l := fleet.SimRegion.Cells()
 	v := make([]float64, l)
 	wl.VectorInto(v, 0, 7, false)
@@ -236,12 +281,11 @@ func TestRefreshIdenticalDensities(t *testing.T) {
 
 // TestRefreshShortHoldoutWindow pins the quantile-support edge case: a
 // holdout holding a single interval still recalibrates (the empirical
-// quantile of one sample is that sample) for every configured p.
+// quantile of one sample is that sample) for every seed p.
 func TestRefreshShortHoldoutWindow(t *testing.T) {
 	wl, det := fixture(t)
-	// HoldoutEvery=64 over 64 observations routes exactly one interval
-	// to the holdout ring.
-	r := newRefresher(t, det, Config{Window: 64, Holdout: 8, HoldoutEvery: 64})
+	// A one-interval ring keeps only the latest held-out interval.
+	r := newRefresher(t, det, Config{Window: 64, Holdout: 1})
 	feed(t, r, wl, det, 0, 64, false)
 	res, err := r.Refresh()
 	if err != nil {
@@ -267,7 +311,7 @@ func TestRefreshShortHoldoutWindow(t *testing.T) {
 // clear the alarm.
 func TestRefreshDriftTriggersFullRebuild(t *testing.T) {
 	wl, det := fixture(t)
-	r := newRefresher(t, det, Config{Window: 64, Holdout: 24, HoldoutEvery: 4, DriftThreshold: 8})
+	r := newRefresher(t, det, Config{Window: 64, Holdout: 24})
 	feed(t, r, wl, det, 0, 90, false)
 	if _, err := r.Refresh(); err != nil {
 		t.Fatal(err)
@@ -322,7 +366,7 @@ func TestRefreshNotReady(t *testing.T) {
 // on the Observe hot path (sketch route and holdout route).
 func TestObserveAllocationFree(t *testing.T) {
 	wl, det := fixture(t)
-	r := newRefresher(t, det, Config{Window: 64, Holdout: 16, HoldoutEvery: 4})
+	r := newRefresher(t, det, Config{Window: 64, Holdout: 16})
 	l := fleet.SimRegion.Cells()
 	v := make([]float64, l)
 	wl.VectorInto(v, 0, 3, false)
@@ -341,15 +385,9 @@ func TestObserveAllocationFree(t *testing.T) {
 	}
 }
 
-// TestConfigValidation exercises Config.fill errors.
+// TestConfigValidation exercises New's configuration errors.
 func TestConfigValidation(t *testing.T) {
 	_, det := fixture(t)
-	if _, err := New(det, Config{Quantiles: []float64{1.5}}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("quantile 1.5: %v", err)
-	}
-	if _, err := New(det, Config{Quantiles: []float64{0.01, 0.005, 0.01}}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("repeated quantile: %v", err)
-	}
 	if _, err := New(det, Config{Window: 3}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("window below L'+2: %v", err)
 	}
@@ -369,7 +407,7 @@ func TestConfigValidation(t *testing.T) {
 // bit-identical to a run that never saw it.
 func TestObserveRejectsNonFinite(t *testing.T) {
 	wl, det := fixture(t)
-	cfg := Config{Window: 64, Holdout: 24, HoldoutEvery: 4}
+	cfg := Config{Window: 64, Holdout: 24}
 	l := fleet.SimRegion.Cells()
 	cases := []struct {
 		name string

@@ -13,19 +13,18 @@ import (
 )
 
 // eStep fills resp with responsibilities and ll with per-sample
-// log-likelihoods over the active range: full blocks of eight through
-// the eight-lane panel kernel, the remainder through the scalar path
-// (identical per-sample operation order, so the split point is
-// invisible in the results).
+// log-likelihoods: full blocks of eight through the eight-lane panel
+// kernel, the remainder through the scalar path (identical per-sample
+// operation order, so the split point is invisible in the results).
 //
 //mhm:hotpath
 func (e *em) eStep() {
 	pd, py := e.pack[:8*e.d], e.pack[8*e.d:]
-	s := e.bLo
-	for ; s+8 <= e.bHi; s += 8 {
+	s := 0
+	for ; s+8 <= e.n; s += 8 {
 		e.densBlock8(s, pd, py)
 	}
-	for ; s < e.bHi; s++ {
+	for ; s < e.n; s++ {
 		e.densScalar(s, pd[:e.d], py[:e.d])
 	}
 }
@@ -168,33 +167,31 @@ func respLLRow(row []float64) float64 {
 //
 //mhm:hotpath
 func (e *em) mStepComponent(j int) bool {
-	d, k := e.d, e.k
-	lo, hi := e.bLo, e.bHi
-	bn := hi - lo
+	n, d, k := e.n, e.d, e.k
 	nj := 0.0
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		nj += e.resp[i*k+j]
 	}
 	if nj < 1e-10 {
-		worstI := lo
+		worstI := 0
 		worstLL := math.Inf(1)
-		for i := lo; i < hi; i++ {
-			if e.ll[i] < worstLL {
-				worstI, worstLL = i, e.ll[i]
+		for i, v := range e.ll {
+			if v < worstLL {
+				worstI, worstLL = i, v
 			}
 		}
 		copy(e.mean[j*d:(j+1)*d], e.x[worstI*d:(worstI+1)*d])
-		e.weight[j] = 1 / float64(bn)
+		e.weight[j] = 1 / float64(n)
 		e.logW[j] = math.Log(e.weight[j])
 		return true // covariance (and its factor) kept
 	}
-	e.weight[j] = nj / float64(bn)
+	e.weight[j] = nj / float64(n)
 	e.logW[j] = math.Log(e.weight[j])
 	meanj := e.mean[j*d : (j+1)*d]
 	for c := range meanj {
 		meanj[c] = 0
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		w := e.resp[i*k+j]
 		xi := e.x[i*d : (i+1)*d]
 		for c, v := range xi {
@@ -209,7 +206,7 @@ func (e *em) mStepComponent(j int) bool {
 		covj[c] = 0
 	}
 	diff := e.pack[:d] // the E-step's panels are free during the M-step
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		w := e.resp[i*k+j]
 		if mat.IsZero(w) {
 			continue

@@ -58,14 +58,6 @@ type EMConfig struct {
 	// is ignored (may be nil); K and the sample dimension must match the
 	// model, and every covariance must still be SPD.
 	Warm *EMModel
-	// BatchSize, when positive, runs each iteration's E and M pass over
-	// one contiguous mini-batch of at most BatchSize samples instead of
-	// the full set, rotating through the fixed batch grid in iteration
-	// order (iteration i uses batch i mod ⌈n/BatchSize⌉). Mini-batch
-	// likelihoods are not comparable across batches, so Tol-based early
-	// stopping is disabled: the fit runs exactly MaxIter iterations — the
-	// refresh loop's bounded-iteration contract.
-	BatchSize int
 }
 
 // EMModel is a fitted mixture in flat form: component j's mean occupies
@@ -99,22 +91,11 @@ func EMFit(data [][]float64, initMeans [][]float64, cfg EMConfig) (*EMModel, err
 	if err != nil {
 		return nil, err
 	}
-	nBatches := 1
-	if cfg.BatchSize > 0 && cfg.BatchSize < n {
-		nBatches = chunkCount(n, cfg.BatchSize)
-	}
 	prevLL := math.Inf(-1)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		if nBatches > 1 {
-			e.bLo = (iter % nBatches) * cfg.BatchSize
-			e.bHi = e.bLo + cfg.BatchSize
-			if e.bHi > n {
-				e.bHi = n
-			}
-		}
 		e.eStep()
 		ll := e.sumLL()
-		if nBatches == 1 && iter > 0 && ll-prevLL < cfg.Tol {
+		if iter > 0 && ll-prevLL < cfg.Tol {
 			prevLL = ll
 			break
 		}
@@ -140,13 +121,6 @@ type em struct {
 	n, d, k int
 	reg     float64
 
-	// The active sample range [bLo, bHi): the full set for batch EM,
-	// one rotating contiguous mini-batch otherwise. Every kernel — the
-	// E-step, the log-likelihood fold, the M-step sweeps and the
-	// dead-component reseed — confines itself to this range, so the
-	// full-batch case reproduces the historical arithmetic bit for bit.
-	bLo, bHi int
-
 	x    []float64 // n×d packed samples
 	resp []float64 // n×k: log-density terms, then responsibilities in place
 	ll   []float64 // per-sample log-likelihood of the current E-step
@@ -169,8 +143,7 @@ func newEM(data [][]float64, initMeans [][]float64, cfg EMConfig) (*em, error) {
 	n, d, k := len(data), len(data[0]), cfg.K
 	e := &em{
 		n: n, d: d, k: k,
-		reg: cfg.Reg,
-		bLo: 0, bHi: n,
+		reg:    cfg.Reg,
 		x:      make([]float64, n*d),
 		resp:   make([]float64, n*k),
 		ll:     make([]float64, n),
@@ -218,12 +191,11 @@ func newEM(data [][]float64, initMeans [][]float64, cfg EMConfig) (*em, error) {
 	return e, nil
 }
 
-// sumLL folds the active range's per-sample log-likelihoods in
-// ascending sample order — the same order the staged E-step accumulated
-// them.
+// sumLL folds the per-sample log-likelihoods in ascending sample order —
+// the same order the staged E-step accumulated them.
 func (e *em) sumLL() float64 {
 	s := 0.0
-	for _, v := range e.ll[e.bLo:e.bHi] {
+	for _, v := range e.ll {
 		s += v
 	}
 	return s

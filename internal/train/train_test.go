@@ -32,25 +32,6 @@ func fitCfg(k int) EMConfig {
 	return EMConfig{K: k, MaxIter: 40, Tol: 1e-6, Reg: 1e-6, InitVar: 1}
 }
 
-// requireSameEM fails unless a and b have the same log-likelihood,
-// weights, means and covariances, bit for bit.
-func requireSameEM(t *testing.T, tag string, a, b *EMModel) {
-	t.Helper()
-	if math.Float64bits(a.LogLikelihood) != math.Float64bits(b.LogLikelihood) {
-		t.Fatalf("%s: LL %v vs %v", tag, a.LogLikelihood, b.LogLikelihood)
-	}
-	for _, f := range []struct {
-		name string
-		a, b []float64
-	}{{"weight", a.Weights, b.Weights}, {"mean", a.Means, b.Means}, {"cov", a.Covs, b.Covs}} {
-		for i, v := range f.a {
-			if math.Float64bits(v) != math.Float64bits(f.b[i]) {
-				t.Fatalf("%s: %s flat[%d] = %v vs %v", tag, f.name, i, v, f.b[i])
-			}
-		}
-	}
-}
-
 // TestEMIterationAllocationFree is the PR's steady-state guard: after
 // newEM, a full serial EM iteration (E-step, reduction, M-step)
 // performs zero heap allocations.

@@ -62,38 +62,6 @@ func TestEMFitWarmStartOnShiftedData(t *testing.T) {
 	}
 }
 
-// TestEMFitMiniBatchDeterministic pins the mini-batch schedule,
-// including a batch size that does not divide n: iteration i runs over
-// batch i mod ⌈n/BatchSize⌉, so six mini-batch iterations must give the
-// bits of six one-iteration warm fits chained over those batches.
-func TestEMFitMiniBatchDeterministic(t *testing.T) {
-	const batch = 300
-	data, means := testData(1029, 5, 3, 13)
-	prev, err := EMFit(data, means, fitCfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fitCfg(3)
-	cfg.MaxIter = 6
-	cfg.Warm = prev
-	cfg.BatchSize = batch
-	got, err := EMFit(data, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := prev
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		lo := iter % 4 * batch
-		step := fitCfg(3)
-		step.MaxIter = 1
-		step.Warm = want
-		if want, err = EMFit(data[lo:min(lo+batch, len(data))], nil, step); err != nil {
-			t.Fatalf("iteration %d: %v", iter, err)
-		}
-	}
-	requireSameEM(t, "mini-batch fit vs chained batch fits", got, want)
-}
-
 // TestEMFitWarmRejectsShapeMismatch checks warm-start validation.
 func TestEMFitWarmRejectsShapeMismatch(t *testing.T) {
 	data, means := testData(100, 4, 2, 3)
