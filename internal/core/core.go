@@ -329,7 +329,7 @@ func (d *Detector) Residual(m *heatmap.HeatMap) (float64, error) {
 		return 0, fmt.Errorf("core: got %+v with %d cells, trained on %+v: %w",
 			m.Def, len(m.Counts), d.Region, ErrRegionMismatch)
 	}
-	s := rt.pool.Get().(*detScratch)
+	s := rt.staged(rt.pool.Get().(*detScratch))
 	defer rt.pool.Put(s)
 	m.VectorInto(s.vbuf)
 	return d.PCA.ReconstructionErrorInto(s.w, s.rec, s.vbuf)
@@ -390,6 +390,7 @@ func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
 	if d.projHist == nil && d.scoreHist == nil {
 		return s.sc.ScoreCounts(m.Counts)
 	}
+	rt.staged(s)
 	m.VectorInto(s.vbuf)
 	return d.scoreVector(s, s.vbuf)
 }
@@ -413,6 +414,7 @@ func (d *Detector) scoreVector(s *detScratch, v []float64) (float64, error) {
 	if d.projHist == nil && d.scoreHist == nil {
 		return s.sc.Score(v)
 	}
+	d.scoring.staged(s)
 	sw := d.projHist.Start()
 	err := d.PCA.ProjectInto(s.w, v)
 	sw = sw.Handoff(d.scoreHist)

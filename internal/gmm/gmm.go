@@ -177,65 +177,15 @@ func (o *Options) fill() error {
 
 // Train fits a mixture to data by EM with k-means++ style seeding,
 // returning the restart with the highest training log-likelihood; the
-// first such restart wins a tie.
+// first such restart wins a tie. It is a Fit stepped to completion.
 //
 //mhm:deterministic
 func Train(data [][]float64, opts Options) (*Model, error) {
-	if err := opts.fill(); err != nil {
+	var f Fit
+	if err := f.StartTrain(data, opts); err != nil {
 		return nil, err
 	}
-	n := len(data)
-	if n == 0 {
-		return nil, fmt.Errorf("gmm: empty training set: %w", ErrTraining)
-	}
-	d := len(data[0])
-	if d == 0 {
-		return nil, fmt.Errorf("gmm: zero-dimensional data: %w", ErrTraining)
-	}
-	for i, x := range data {
-		if len(x) != d {
-			return nil, fmt.Errorf("gmm: sample %d has dim %d, want %d: %w", i, len(x), d, ErrTraining)
-		}
-	}
-	if opts.Components > n {
-		return nil, fmt.Errorf("gmm: %d components for %d samples: %w", opts.Components, n, ErrTraining)
-	}
-
-	reg := opts.Reg
-	if mat.IsZero(reg) {
-		reg = dataReg(data)
-	}
-
-	// Each restart draws from its own generator and writes only its own
-	// slot, so every assignment of restarts to goroutines yields the
-	// same attempts.
-	type attempt struct {
-		m   *Model
-		ll  float64
-		err error
-	}
-	attempts := make([]attempt, opts.Restarts)
-	train.Chunks(opts.Restarts, 1, opts.Workers, func(r, _, _ int) {
-		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*0x9E3779B9))
-		m, ll, err := emOnce(data, opts.Components, opts.MaxIter, opts.Tol, reg, rng)
-		attempts[r] = attempt{m: m, ll: ll, err: err}
-	})
-	var best *Model
-	bestLL := math.Inf(-1)
-	var lastErr error
-	for _, a := range attempts {
-		if a.err != nil {
-			lastErr = a.err
-			continue
-		}
-		if a.ll > bestLL {
-			best, bestLL = a.m, a.ll
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("gmm: all %d restarts failed: %w", opts.Restarts, lastErr)
-	}
-	return best, nil
+	return f.run()
 }
 
 // dataReg is the default diagonal covariance regularization: 1e-6 of
@@ -349,41 +299,6 @@ func kmeansSeed(data [][]float64, k int, rng *rand.Rand) [][]float64 {
 		}
 	}
 	return means
-}
-
-// emOnce runs one EM fit from a fresh initialization through the
-// internal/train engine on the calling goroutine: k-means++ seeding
-// here, then the blocked E-step / per-component M-step loop with all
-// scratch preallocated once for the restart. The fit is bit-identical
-// to the historical staged loop (which evaluated every component
-// density twice per sample — see the regression test), except when a
-// dead component is re-seeded: the engine picks the worst-modeled
-// sample from the E-step's own log-likelihoods instead of rescanning
-// against a half-updated model.
-func emOnce(data [][]float64, k, maxIter int, tol, reg float64, rng *rand.Rand) (*Model, float64, error) {
-	means := kmeansSeed(data, k, rng)
-
-	// Initial covariances: shared spherical from overall variance.
-	v := dataVariance(data)
-	if v <= 0 {
-		v = 1
-	}
-	fit, err := train.EMFit(data, means, train.EMConfig{
-		K:       k,
-		MaxIter: maxIter,
-		Tol:     tol,
-		Reg:     reg,
-		InitVar: v,
-	})
-	if err != nil {
-		return nil, 0, fmt.Errorf("gmm: component covariance: %w", err)
-	}
-
-	model, err := modelFromFit(fit)
-	if err != nil {
-		return nil, 0, err
-	}
-	return model, fit.LogLikelihood, nil
 }
 
 // modelFromFit converts a flat engine fit into a prepared Model. The

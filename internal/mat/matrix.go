@@ -39,6 +39,17 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
+// NewOn returns a rows x cols matrix stored in back[:rows*cols], which
+// it shares rather than copies, reusing storage a caller keeps; the
+// entries are left as they are. It panics, as New does, on a
+// dimension that is not positive, and on a back too short.
+func NewOn(rows, cols int, back []float64) *Matrix {
+	if rows <= 0 || cols <= 0 || len(back) < rows*cols {
+		panic(fmt.Sprintf("mat: NewOn(%d, %d) over %d entries", rows, cols, len(back)))
+	}
+	return &Matrix{rows: rows, cols: cols, data: back[: rows*cols : rows*cols]}
+}
+
 // FromRows builds a matrix from a slice of equally sized rows.
 func FromRows(rows [][]float64) (*Matrix, error) {
 	if len(rows) == 0 || len(rows[0]) == 0 {

@@ -12,11 +12,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sync"
 
 	"github.com/memheatmap/mhm/internal/mat"
-	"github.com/memheatmap/mhm/internal/train"
 )
 
 // ErrTraining wraps invalid training inputs.
@@ -103,89 +101,15 @@ func (m *Model) prepare() {
 }
 
 // Train learns the eigenmemories of a training set (each element one MHM
-// vector of equal length L).
+// vector of equal length L). It is a Fit stepped to completion.
 //
 //mhm:deterministic
 func Train(set [][]float64, opts Options) (*Model, error) {
-	if err := opts.fill(); err != nil {
+	var f Fit
+	if err := f.StartTrain(set, opts); err != nil {
 		return nil, err
 	}
-	n := len(set)
-	if n < 2 {
-		return nil, fmt.Errorf("pca: need at least 2 training MHMs, got %d: %w", n, ErrTraining)
-	}
-	l := len(set[0])
-	if l == 0 {
-		return nil, fmt.Errorf("pca: zero-length MHMs: %w", ErrTraining)
-	}
-	for i, v := range set {
-		if len(v) != l {
-			return nil, fmt.Errorf("pca: MHM %d has length %d, want %d: %w", i, len(v), l, ErrTraining)
-		}
-	}
-	// The covariance of N samples in L dims has rank ≤ min(L, N); asking
-	// for more eigenpairs than that is a caller bug for explicit
-	// Components, and silently capped during automatic selection.
-	rank := l
-	if n < rank {
-		rank = n
-	}
-	if opts.Components > rank {
-		return nil, fmt.Errorf("pca: %d components from %d samples in %d dims: %w",
-			opts.Components, n, l, ErrTraining)
-	}
-	maxK := opts.MaxComponents
-	if opts.Components > 0 {
-		maxK = opts.Components
-	}
-	if maxK > rank {
-		maxK = rank
-	}
-
-	// Ψ = mean, Φ = mean-shifted columns, via the training engine's
-	// tiled build (bit-identical for every worker count).
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-		if opts.Parallel {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	mean, phi, totalVar := train.BuildCentered(set, workers)
-
-	eig, err := mat.EigenSymTopK(mat.NewGramOp(phi), maxK, mat.TopKOptions{Seed: opts.Seed, Parallel: opts.Parallel})
-	if err != nil {
-		return nil, fmt.Errorf("pca: eigendecomposition: %w", err)
-	}
-
-	k := maxK
-	if opts.Components == 0 {
-		// Variance-driven selection.
-		cum := 0.0
-		k = maxK
-		for i, v := range eig.Values {
-			if v > 0 {
-				cum += v
-			}
-			if totalVar > 0 && cum/totalVar >= opts.VarianceFraction {
-				k = i + 1
-				break
-			}
-		}
-	}
-
-	comps := mat.New(l, k)
-	for j := 0; j < k; j++ {
-		for i := 0; i < l; i++ {
-			comps.Set(i, j, eig.Vectors.At(i, j))
-		}
-	}
-	return &Model{
-		Mean:          mean,
-		Components:    comps,
-		Values:        append([]float64(nil), eig.Values[:k]...),
-		TotalVariance: totalVar,
-	}, nil
+	return f.run()
 }
 
 // Dim returns (L, L').

@@ -7,12 +7,7 @@
 // off the sketch's raw-sample ring, never materializing Φ.
 package pca
 
-import (
-	"fmt"
-
-	"github.com/memheatmap/mhm/internal/mat"
-	"github.com/memheatmap/mhm/internal/train"
-)
+import "github.com/memheatmap/mhm/internal/train"
 
 // Refresh runs at most refreshIter warm-started subspace iterations —
 // enough for an incrementally drifted window; a cold-start-quality fit
@@ -35,35 +30,15 @@ type RefreshOptions struct {
 // window, keeping the previous model's dimensionality L' fixed — the
 // warm-start contract: downstream consumers (the GMM, the packed score
 // panel) see the same shapes, only refreshed values. The previous
-// model is not modified; the returned model owns its storage.
+// model is not modified; the returned model owns its storage. It is a
+// Fit stepped to completion.
 //
 //mhm:deterministic
+//mhmlint:ignore deadapi the one-shot form of a Refresh Fit: the warm-refresh goldens pin their bits through it
 func Refresh(prev *Model, sk *train.Centered, opts RefreshOptions) (*Model, error) {
-	if prev == nil || sk == nil {
-		return nil, fmt.Errorf("pca: Refresh: nil model or sketch: %w", ErrTraining)
+	var f Fit
+	if err := f.StartRefresh(prev, sk, opts); err != nil {
+		return nil, err
 	}
-	l, lp := prev.Dim()
-	if sk.Dim() != l {
-		return nil, fmt.Errorf("pca: Refresh: sketch dim %d, model dim %d: %w", sk.Dim(), l, ErrTraining)
-	}
-	if sk.Len() < 2 || sk.Len() < lp {
-		return nil, fmt.Errorf("pca: Refresh: %d window samples for %d components: %w", sk.Len(), lp, ErrTraining)
-	}
-	eig, err := mat.EigenSymTopK(sk, lp, mat.TopKOptions{
-		MaxIter:  refreshIter,
-		Seed:     refreshSeed,
-		Parallel: opts.Parallel,
-		Init:     prev.Components,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("pca: Refresh: eigendecomposition: %w", err)
-	}
-	mean := make([]float64, l)
-	copy(mean, sk.Mean())
-	return &Model{
-		Mean:          mean,
-		Components:    eig.Vectors,
-		Values:        eig.Values,
-		TotalVariance: sk.TotalVar(),
-	}, nil
+	return f.run()
 }

@@ -1,7 +1,9 @@
 package refresh
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/memheatmap/mhm/internal/fleet"
 )
@@ -148,4 +150,103 @@ func BenchmarkDeviceRefreshFull(b *testing.B) {
 			b.Fatal("refresh took the incremental path")
 		}
 	}
+}
+
+// BenchmarkDeviceRefreshSteps times every step of the refresh job on
+// the device-shaped window of BenchmarkDeviceRefreshIncremental: each
+// op observes 64 new device intervals untimed, then steps a warm job
+// and a full job to completion, one timed step at a time, as the fleet
+// loop runs them one per scored interval. For each path it reports the
+// largest and the median step (warm-max-ns/step, warm-p50-ns/step,
+// full-max-ns/step, full-p50-ns/step), the slowest kind of step by its
+// median over the ops (warm-slowest-p50-ns/step,
+// full-slowest-p50-ns/step; a kind is a stage of the job and the step's
+// place in it, which the scheduler's hiccups that set the max do not
+// move), and the steps per job. Steps of the dense fallback
+// (Result.FallbackSteps), the one kind the per-step bound does not
+// cover, are left out and counted in fallback-steps/op.
+func BenchmarkDeviceRefreshSteps(b *testing.B) {
+	det := deviceDetector(b)
+	r := newRefresher(b, det, Config{Window: 192, Holdout: 64, Workers: 2})
+	feedDevice(b, r, det, 0, 300)
+	type kind struct {
+		stage  jobStage
+		nth    int // the step's place among its stage's consecutive steps
+		isFull bool
+	}
+	byKind := map[kind][]time.Duration{}
+	var warm, full []time.Duration
+	warmSteps, fullSteps, fallback := 0, 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		feedDevice(b, r, det, 300+64*i, 64)
+		b.StartTimer()
+		for _, isFull := range []bool{false, true} {
+			j, err := r.start(isFull)
+			if err != nil {
+				b.Fatal(err)
+			}
+			k := kind{stage: -1, isFull: isFull}
+			for done := false; !done; {
+				if j.stage == k.stage {
+					k.nth++
+				} else {
+					k.stage, k.nth = j.stage, 0
+				}
+				before := r.pf.SolveStats().FallbackSteps
+				t0 := time.Now()
+				done, err = j.step()
+				d := time.Since(t0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				switch {
+				case r.pf.SolveStats().FallbackSteps > before:
+					fallback++
+					continue
+				case isFull:
+					full = append(full, d)
+				default:
+					warm = append(warm, d)
+				}
+				byKind[k] = append(byKind[k], d)
+			}
+			if j.res.FullRebuild != isFull {
+				b.Fatalf("full rebuild %t, want %t", j.res.FullRebuild, isFull)
+			}
+			if isFull {
+				fullSteps += j.res.Steps
+			} else {
+				warmSteps += j.res.Steps
+			}
+		}
+	}
+	b.StopTimer()
+	median := func(ds []time.Duration) float64 {
+		slices.Sort(ds)
+		return float64(ds[len(ds)/2].Nanoseconds())
+	}
+	slowest := [2]float64{}
+	for k, ds := range byKind {
+		if len(ds) < max(b.N/2, 1) {
+			continue // a place too few jobs reach to have a median
+		}
+		if m := median(ds); k.isFull {
+			slowest[1] = max(slowest[1], m)
+		} else {
+			slowest[0] = max(slowest[0], m)
+		}
+	}
+	for p, path := range []struct {
+		name string
+		ds   []time.Duration
+	}{{"warm", warm}, {"full", full}} {
+		b.ReportMetric(median(path.ds), path.name+"-p50-ns/step")
+		b.ReportMetric(float64(path.ds[len(path.ds)-1].Nanoseconds()), path.name+"-max-ns/step")
+		b.ReportMetric(slowest[p], path.name+"-slowest-p50-ns/step")
+	}
+	b.ReportMetric(float64(warmSteps)/float64(b.N), "warm-steps/op")
+	b.ReportMetric(float64(fullSteps)/float64(b.N), "full-steps/op")
+	b.ReportMetric(float64(fallback)/float64(b.N), "fallback-steps/op")
 }

@@ -90,7 +90,9 @@ func (c *Config) fill() {
 	}
 }
 
-// Result describes one completed refresh.
+// Result describes one completed refresh. Its counts come from the
+// steps the refresh ran, never from a clock, so they are the same on
+// every machine and at every worker count.
 type Result struct {
 	// Detector is the refreshed model with the fused scoring runtime
 	// installed and the recalibrated thresholds.
@@ -105,6 +107,22 @@ type Result struct {
 	DriftStat float64
 	// WindowLen and HoldoutLen are the window fills at refresh time.
 	WindowLen, HoldoutLen int
+	// Steps counts the bounded steps the refresh ran (DESIGN.md §14.4),
+	// the completing one included.
+	Steps int
+	// EigenIterations counts the subspace iterations of the refresh's
+	// eigen-solves, and EigenConverged reports that the last solve
+	// stopped at the 1e-10 Ritz-value tolerance rather than at its
+	// iteration cap (8 on the warm path).
+	EigenIterations int
+	EigenConverged  bool
+	// FallbackSteps counts the steps that applied the covariance at full
+	// dimension after a run on its support stopped (mat.TopK): the one
+	// kind of step the per-step bound does not cover.
+	FallbackSteps int
+	// EMIterations counts the EM iterations (E-steps) of the refresh's
+	// mixture fits, summed over the full rebuild's restarts.
+	EMIterations int
 }
 
 // Refresher maintains one detector's model state online. Not safe for
@@ -131,6 +149,8 @@ type Refresher struct {
 	redBack []float64
 	set     [][]float64 // Window sample views, reused by the rebuild path
 	dens    []float64   // holdout density scratch
+	pf      pca.Fit     // the eigenmemory fit, its solve and Φ storage kept
+	gf      gmm.Fit     // the mixture fit
 
 	channel ensemble.Channel
 	chanOK  bool
@@ -179,6 +199,9 @@ func New(det *core.Detector, cfg Config) (*Refresher, error) {
 	for i := range r.reduced {
 		r.reduced[i] = r.redBack[i*lp : (i+1)*lp]
 	}
+	// The full rebuild's Φ is as large as the window ring; sizing it here
+	// keeps its allocation out of the job's steps.
+	r.pf.Reserve(l, cfg.Window)
 	for i := range r.hold {
 		r.hold[i] = hold[i*l : (i+1)*l]
 	}
@@ -273,113 +296,250 @@ func (r *Refresher) Counters() (int, int, int) {
 // non-empty, at the P values of the seed detector's thresholds; an empty
 // holdout carries the previous thresholds over. The refreshed models
 // become the next warm-start state. A failed refresh publishes nothing.
+// It is a refresh job stepped to completion.
 //
 //mhm:deterministic
 func (r *Refresher) Refresh() (*Result, error) { return r.refresh(r.drift) }
 
-// refresh runs Refresh on the full path when full is set, and otherwise
-// on the warm path, falling back to the full one when the warm fit
-// fails.
+// refresh runs a refresh job to completion: on the full path when full
+// is set, and otherwise on the warm path, falling back to the full one
+// when the warm fit fails.
 func (r *Refresher) refresh(full bool) (*Result, error) {
+	j, err := r.start(full)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		done, err := j.step()
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return &j.res, nil
+		}
+	}
+}
+
+// jobStage is where a refresh job stands.
+type jobStage int
+
+const (
+	stageRebuild jobStage = iota // full path: exact sketch sums, start the PCA fit
+	stagePCA                     // a step of the eigenmemory fit; the last projects the window
+	stageGMM                     // a step of the mixture fit
+	stagePublish                 // recalibrate θ_p and publish
+	stageDone                    // the job ended, published or failed
+)
+
+// job is one refresh split into bounded steps (DESIGN.md §14.4), so the
+// fleet loop can run it one step per scored interval. Each step is one
+// pass of a loop of the model fits (mat.TopK inside pca.Fit, gmm.Fit)
+// or one stage of the refresh around them:
+//
+//   - warm path: the start block and the support restriction; one
+//     subspace iteration per step; the final Ritz values and the window
+//     projection; the warm EM; θ_p recalibration and the publish.
+//   - full path: the exact sketch sums; the Φ build, one 512-cell tile
+//     per step; the start block, eight rows per step, and the
+//     restriction of Φ's Gram operator with its last rows; one subspace
+//     iteration per step; the final Ritz values and the window
+//     projection; k-means seeding of both restarts; two EM iterations of
+//     both restarts side by side per step; θ_p recalibration and the
+//     publish.
+//
+// The fits' steps keep their one-shot forms' arithmetic and order, so
+// however the steps are spread over calls the job publishes the bits of
+// a Refresh of the windows as they stood at its start. The windows must
+// not change while a job runs: the Loop defers every observation until
+// the job ends. Steps are counted, never timed. A job holds no
+// goroutine between steps; a dropped job is garbage like any other
+// value.
+type job struct {
+	r     *Refresher
+	n     int // window samples at the trigger
+	full  bool
+	stage jobStage
+	res   Result
+
+	newPCA *pca.Model
+	newGMM *gmm.Model
+}
+
+// start begins a refresh job over the current windows, on the full path
+// when full is set. It does no fitting work.
+func (r *Refresher) start(full bool) (*job, error) {
 	n := r.sketch.Len()
 	if n < r.lp+2 {
 		return nil, fmt.Errorf("refresh: %d window samples for L'=%d: %w", n, r.lp, ErrNotReady)
 	}
-	res := &Result{
+	j := &job{r: r, n: n, res: Result{
 		DriftStat:  r.cusum.S,
 		WindowLen:  n,
 		HoldoutLen: r.holdN,
-	}
-	newPCA, newGMM, err := r.fitModels(n, full)
-	if err != nil && !full {
-		// The warm path can lose a component (covariance collapse on a
-		// shifted window); the full path reseeds from scratch.
-		full = true
-		newPCA, newGMM, err = r.fitModels(n, full)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.FullRebuild = full
-
-	det, err := core.NewDetector(r.region, newPCA, newGMM, r.thresholds)
-	if err != nil {
-		return nil, fmt.Errorf("refresh: %w", err)
-	}
-	if r.holdN > 0 && len(det.Thresholds) > 0 {
-		if det, err = r.recalibrate(det); err != nil {
-			return nil, err
-		}
-		res.Recalibrated = true
-	}
-
-	r.pcaM, r.gmmM, r.thresholds = newPCA, newGMM, det.Thresholds
-	r.cusum.Reset()
-	r.drift = false
-	r.refreshes++
-	if full {
-		r.fullRebuilds++
-	}
-	res.Detector = det
-	return res, nil
+	}}
+	j.begin(full)
+	return j, nil
 }
 
-// fitModels runs either the warm incremental path or the full
-// from-scratch path over the current window.
-func (r *Refresher) fitModels(n int, full bool) (*pca.Model, *gmm.Model, error) {
-	var newPCA *pca.Model
-	var err error
+// begin puts the job at the start of the full or the warm path.
+func (j *job) begin(full bool) {
+	r := j.r
+	if !full {
+		// A warm fit that cannot start takes the full path, as one that
+		// fails does.
+		full = r.pf.StartRefresh(r.pcaM, r.sketch, pca.RefreshOptions{Parallel: r.cfg.Workers > 1}) != nil
+	}
+	j.full, j.stage = full, stagePCA
 	if full {
-		set := r.set[:n]
-		for i := 0; i < n; i++ {
+		j.stage = stageRebuild
+	}
+}
+
+// step runs the job's next step and reports whether the job has ended.
+// A job that ends without an error has the refreshed detector in j.res;
+// an error ends the job and publishes nothing. A warm fit that fails
+// moves the job onto the full path, which starts at the next step.
+//
+//mhm:deterministic
+func (j *job) step() (bool, error) {
+	r := j.r
+	if j.stage == stageDone {
+		return true, nil
+	}
+	j.res.Steps++
+	switch j.stage {
+	case stageRebuild:
+		// Discard the incremental sums' rounding drift while the window
+		// is authoritative anyway.
+		r.sketch.Rebuild()
+		set := r.set[:j.n]
+		for i := range set {
 			set[i] = r.sketch.Sample(i)
 		}
-		newPCA, err = pca.Train(set, pca.Options{
+		err := r.pf.StartTrain(set, pca.Options{
 			Components: r.lp,
 			Seed:       rebuildSeed,
 			Workers:    r.cfg.Workers,
 			Parallel:   r.cfg.Workers > 1,
 		})
 		if err != nil {
-			return nil, nil, fmt.Errorf("refresh: full PCA: %w", err)
+			return j.fitFailed("PCA", err)
 		}
-		// Discard the incremental sums' rounding drift while the window
-		// is authoritative anyway.
-		r.sketch.Rebuild()
-	} else {
-		newPCA, err = pca.Refresh(r.pcaM, r.sketch, pca.RefreshOptions{Parallel: r.cfg.Workers > 1})
+		j.stage = stagePCA
+	case stagePCA:
+		done, err := r.pf.Step()
+		if err != nil || done {
+			st := r.pf.SolveStats()
+			j.res.EigenIterations += st.Iterations
+			j.res.EigenConverged = st.Converged
+			j.res.FallbackSteps += st.FallbackSteps
+		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("refresh: incremental PCA: %w", err)
+			return j.fitFailed("PCA", err)
 		}
+		if !done {
+			return false, nil
+		}
+		j.newPCA = r.pf.Model()
+		if err := j.project(); err != nil {
+			return j.fitFailed("", err)
+		}
+		if j.full {
+			err = r.gf.StartTrain(r.reduced[:j.n], gmm.Options{
+				Components: len(r.gmmM.Components),
+				Restarts:   2,
+				Seed:       rebuildSeed,
+				Workers:    r.cfg.Workers,
+			})
+		} else {
+			err = r.gf.StartRefit(r.reduced[:j.n], r.gmmM)
+		}
+		if err != nil {
+			return j.fitFailed("GMM", err)
+		}
+		j.stage = stageGMM
+	case stageGMM:
+		done, err := r.gf.Step()
+		if err != nil || done {
+			j.res.EMIterations += r.gf.Iterations()
+		}
+		if err != nil {
+			return j.fitFailed("GMM", err)
+		}
+		if !done {
+			return false, nil
+		}
+		j.newGMM = r.gf.Model()
+		j.stage = stagePublish
+	case stagePublish:
+		if err := j.publish(); err != nil {
+			return j.fail(err)
+		}
+		j.stage = stageDone
+		return true, nil
 	}
+	return false, nil
+}
 
-	// The sketch lists each sample's occupied cells, so the window
-	// projection pays for those alone.
-	reduced := r.reduced[:n]
-	for i := 0; i < n; i++ {
-		if err := newPCA.ProjectCellsInto(reduced[i], r.sketch.Sample(i), r.sketch.Cells(i)); err != nil {
-			return nil, nil, fmt.Errorf("refresh: project window sample %d: %w", i, err)
-		}
+// fitFailed handles a failed fit. On the warm path the job moves onto
+// the full path, which reseeds both models from scratch (a warm fit can
+// lose a component on a shifted window); on the full path the job
+// fails, with the error named after the fit when what is set.
+func (j *job) fitFailed(what string, err error) (bool, error) {
+	if !j.full {
+		j.begin(true)
+		return false, nil
 	}
+	if what != "" {
+		err = fmt.Errorf("refresh: full %s: %w", what, err)
+	}
+	return j.fail(err)
+}
 
-	var newGMM *gmm.Model
-	if full {
-		newGMM, err = gmm.Train(reduced, gmm.Options{
-			Components: len(r.gmmM.Components),
-			Restarts:   2,
-			Seed:       rebuildSeed,
-			Workers:    r.cfg.Workers,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("refresh: full GMM: %w", err)
-		}
-	} else {
-		newGMM, err = gmm.Refit(reduced, r.gmmM)
-		if err != nil {
-			return nil, nil, fmt.Errorf("refresh: warm GMM: %w", err)
+// fail ends the job with err.
+func (j *job) fail(err error) (bool, error) {
+	j.stage = stageDone
+	return true, err
+}
+
+// project projects every window sample onto the new basis. The sketch
+// lists each sample's occupied cells, so the projection pays for those
+// alone.
+func (j *job) project() error {
+	r := j.r
+	for i, dst := range r.reduced[:j.n] {
+		if err := j.newPCA.ProjectCellsInto(dst, r.sketch.Sample(i), r.sketch.Cells(i)); err != nil {
+			return fmt.Errorf("refresh: project window sample %d: %w", i, err)
 		}
 	}
-	return newPCA, newGMM, nil
+	return nil
+}
+
+// publish builds the candidate detector, recalibrates θ_p on the
+// holdout window when it is non-empty, and makes the refreshed models
+// the next warm-start state.
+func (j *job) publish() error {
+	r := j.r
+	det, err := core.NewDetector(r.region, j.newPCA, j.newGMM, r.thresholds)
+	if err != nil {
+		return fmt.Errorf("refresh: %w", err)
+	}
+	if r.holdN > 0 && len(det.Thresholds) > 0 {
+		if det, err = r.recalibrate(det); err != nil {
+			return err
+		}
+		j.res.Recalibrated = true
+	}
+	r.pcaM, r.gmmM, r.thresholds = j.newPCA, j.newGMM, det.Thresholds
+	r.cusum.Reset()
+	r.drift = false
+	r.refreshes++
+	if j.full {
+		r.fullRebuilds++
+	}
+	j.res.FullRebuild = j.full
+	j.res.Detector = det
+	return nil
 }
 
 // recalibrate scores the held-out ring under the candidate detector,

@@ -57,6 +57,12 @@ type Centered struct {
 	sumSq []float64 // per-tile Σ_s Σ_{i∈tile} x_s[i]² partials
 
 	rChunk func(idx, worker int) // prebuilt Rebuild dispatch
+
+	// Restrict's storage, kept between calls: the support, the cell →
+	// support-position map and the gathered operator.
+	support []int
+	pos     []int32
+	on      centeredOn
 }
 
 // NewCentered returns an empty sketch over l-dimensional samples with
@@ -299,9 +305,13 @@ func (c *Centered) Apply(dst, src [][]float64) {
 // support comes from the per-cell counts and the mean, and the ring is
 // gathered from the cell lists, so no held row is scanned in full.
 //
+// The support and the gathered operator live in storage the sketch
+// keeps and reuses, so a refresh that restricts the window every time
+// allocates it once; both are valid until the next Restrict.
+//
 //mhm:deterministic
 func (c *Centered) Restrict() ([]int, mat.SymOp) {
-	var support []int
+	support := c.support[:0]
 	for i, m := range c.mean {
 		// A held NaN or ±Inf leaves its cell's running sum, and so the
 		// mean, non-finite: no add or subtract turns a NaN or an
@@ -314,23 +324,43 @@ func (c *Centered) Restrict() ([]int, mat.SymOp) {
 			support = append(support, i)
 		}
 	}
-	if len(support) == 0 || len(support) == c.l {
+	c.support = support
+	if len(support) == 0 {
+		return nil, nil
+	}
+	if len(support) == c.l {
 		return support, nil
 	}
-	m := len(support)
-	pos := make([]int32, c.l)
-	sub := &centeredOn{l: m, n: c.n, x: make([]float64, c.n*m), mean: make([]float64, m)}
+	if c.pos == nil {
+		c.pos = make([]int32, c.l)
+	}
+	// Only support cells are read back from pos: every listed cell of a
+	// held sample is on the support.
+	m, sub := len(support), &c.on
+	sub.l, sub.n = m, c.n
+	sub.x = grow(sub.x, c.n*m)
+	sub.mean = grow(sub.mean, m)
+	clear(sub.x)
 	for k, i := range support {
-		pos[i] = int32(k)
+		c.pos[i] = int32(k)
 		sub.mean[k] = c.mean[i]
 	}
 	for s := 0; s < c.n; s++ {
 		row, dst := c.Sample(s), sub.x[s*m:(s+1)*m]
 		for _, i := range c.Cells(s) {
-			dst[pos[i]] = row[i]
+			dst[c.pos[i]] = row[i]
 		}
 	}
 	return support, sub
+}
+
+// grow returns buf resliced to length n, reallocated when its capacity
+// is short; the entries are left as they are.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // centeredOn is a window covariance over a gathered ring and mean: the

@@ -75,10 +75,39 @@ type EMModel struct {
 
 // EMFit runs one EM fit from the given initial means (one slice per
 // component, typically from k-means++ seeding). data is not modified;
-// the returned model owns its storage.
+// the returned model owns its storage. It is an EMRun stepped to
+// completion.
 //
 //mhm:deterministic
+//mhmlint:ignore deadapi the one-shot form of EMRun: TestEMFitGoldenBits and the EM tests pin their bits through it
 func EMFit(data [][]float64, initMeans [][]float64, cfg EMConfig) (*EMModel, error) {
+	r, err := NewEMRun(data, initMeans, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := r.Step(cfg.MaxIter); err != nil {
+		return nil, err
+	}
+	return r.Model(), nil
+}
+
+// EMRun is one EM fit as a resumable loop, so a caller with a
+// per-interval time budget can spread a fit over many intervals
+// (DESIGN.md §14.4): NewEMRun packs the data and builds the initial
+// model, and each Step runs a bounded number of iterations. The
+// iterations are EMFit's, in its order, so a run stepped to completion
+// has EMFit's bits however its iterations are split across Steps.
+type EMRun struct {
+	e      *em
+	cfg    EMConfig
+	iter   int // E-steps run
+	prevLL float64
+	done   bool
+}
+
+// NewEMRun starts an EM fit as EMFit does, without running an
+// iteration.
+func NewEMRun(data [][]float64, initMeans [][]float64, cfg EMConfig) (*EMRun, error) {
 	n := len(data)
 	if n == 0 || cfg.K <= 0 || (cfg.Warm == nil && len(initMeans) != cfg.K) {
 		return nil, fmt.Errorf("train: EMFit: %d samples, %d components, %d initial means", n, cfg.K, len(initMeans))
@@ -91,28 +120,53 @@ func EMFit(data [][]float64, initMeans [][]float64, cfg EMConfig) (*EMModel, err
 	if err != nil {
 		return nil, err
 	}
-	prevLL := math.Inf(-1)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	return &EMRun{e: e, cfg: cfg, prevLL: math.Inf(-1), done: cfg.MaxIter <= 0}, nil
+}
+
+// Step runs up to iters more iterations and reports whether the fit has
+// ended: it stopped on the likelihood tolerance or ran MaxIter
+// iterations. An iteration is an E-step and, unless the fit stops
+// there, an M-step. A component whose covariance stops factoring fails
+// the fit.
+//
+//mhm:deterministic
+func (r *EMRun) Step(iters int) (bool, error) {
+	e := r.e
+	for i := 0; i < iters && !r.done; i++ {
 		e.eStep()
 		ll := e.sumLL()
-		if iter > 0 && ll-prevLL < cfg.Tol {
-			prevLL = ll
+		r.iter++
+		if r.iter > 1 && ll-r.prevLL < r.cfg.Tol {
+			r.prevLL, r.done = ll, true
 			break
 		}
-		prevLL = ll
+		r.prevLL = ll
 		if bad := e.mStep(); bad >= 0 {
-			return nil, fmt.Errorf("train: component %d: %w", bad, ErrNotSPD)
+			r.done = true
+			return true, fmt.Errorf("train: component %d: %w", bad, ErrNotSPD)
 		}
+		r.done = r.iter >= r.cfg.MaxIter
 	}
-	m := &EMModel{
-		K:             cfg.K,
-		D:             d,
+	return r.done, nil
+}
+
+// Iterations returns the number of E-steps run so far.
+func (r *EMRun) Iterations() int { return r.iter }
+
+// Model returns the fit in its current state, with the log-likelihood
+// of its last E-step; once Step has reported the end, the fitted
+// model. The model shares the run's storage, so the run must not step
+// again.
+func (r *EMRun) Model() *EMModel {
+	e := r.e
+	return &EMModel{
+		K:             e.k,
+		D:             e.d,
 		Weights:       e.weight,
 		Means:         e.mean,
 		Covs:          e.cov,
-		LogLikelihood: prevLL,
+		LogLikelihood: r.prevLL,
 	}
-	return m, nil
 }
 
 // em is the preallocated per-restart state: after newEM, an iteration
