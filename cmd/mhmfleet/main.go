@@ -1,19 +1,20 @@
-// Command mhmfleet runs the fleet-scale detection simulator: a seeded
+// Command mhmfleet runs the fleet detection simulator: a seeded
 // population of device streams submitting memory-heat-map intervals
-// through the fleet controller's admission, routing, hot-swap and
-// autoscaling decision paths on a virtual clock. Two runs with the same
-// seed and flags produce byte-identical decision traces and alarm
-// sequences — the property the fleet test harness is built on.
+// through the fleet controller's routing, admission and hot-swap
+// decision paths on a virtual clock, over a fixed set of shards. Two
+// runs with the same seed and flags produce byte-identical decision
+// traces and alarm sequences — the property the fleet test harness is
+// built on.
 //
 // Usage:
 //
 //	mhmfleet [-streams N] [-seed N] [-horizon ms] [-interval ms]
-//	         [-shards N] [-queue N] [-autoscale] [-overload factor]
+//	         [-shards N] [-queue N] [-overload factor]
 //	         [-overload-frac f] [-anomaly-frac f] [-swap-at N]
 //	         [-trace <path|->] [-metrics <path|->] [-json]
 //
-// The default report is a human-readable summary; -json emits the
-// machine-readable result consumed by scripts/bench.sh.
+// The default report is a human-readable summary; -json emits the same
+// result as one JSON object.
 package main
 
 import (
@@ -34,11 +35,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload and schedule seed")
 	horizonMs := flag.Int64("horizon", 300, "simulated duration in ms")
 	intervalMs := flag.Int64("interval", 10, "monitoring interval in ms")
-	shards := flag.Int("shards", 0, "initial shard count (0 = default)")
+	shards := flag.Int("shards", 0, "shard count (0 = default)")
 	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
 	service := flag.Int64("service", 0, "virtual per-interval analysis cost in µs (0 = default)")
 	workers := flag.Int("workers", 0, "scoring goroutines (0 = GOMAXPROCS; result-invariant)")
-	autoscale := flag.Bool("autoscale", false, "enable obs-driven shard autoscaling")
 	overload := flag.Float64("overload", 0, "overload fault: rate multiplier (>1 enables)")
 	overloadFrac := flag.Float64("overload-frac", 0.5, "fraction of streams the overload fault hits")
 	anomalyFrac := flag.Float64("anomaly-frac", 0, "fraction of streams turned anomalous mid-run")
@@ -54,7 +54,7 @@ func main() {
 	if err := run(config{
 		streams: *streams, seed: *seed, horizonMs: *horizonMs, intervalMs: *intervalMs,
 		shards: *shards, queue: *queue, service: *service, workers: *workers,
-		autoscale: *autoscale, overload: *overload, overloadFrac: *overloadFrac,
+		overload: *overload, overloadFrac: *overloadFrac,
 		anomalyFrac: *anomalyFrac, swapAt: *swapAt,
 		refreshEvery: *refreshEvery, refreshWindow: *refreshWindow, refreshHoldout: *refreshHoldout,
 		tracePath: *tracePath, metricsPath: *metricsPath, asJSON: *asJSON,
@@ -71,7 +71,6 @@ type config struct {
 	shards, queue          int
 	service                int64
 	workers                int
-	autoscale              bool
 	overload, overloadFrac float64
 	anomalyFrac            float64
 	swapAt                 int
@@ -82,21 +81,18 @@ type config struct {
 	asJSON                 bool
 }
 
-// result is the machine-readable report (consumed by scripts/bench.sh;
-// field names are part of the bench contract).
+// result is the machine-readable report.
 type result struct {
 	Streams         int     `json:"streams"`
 	Seed            int64   `json:"seed"`
 	HorizonMs       int64   `json:"horizon_ms"`
-	Shards          int     `json:"shards_initial"`
-	FinalShards     int     `json:"shards_final"`
+	Shards          int     `json:"shards"`
 	Submitted       int64   `json:"submitted"`
 	Admitted        int64   `json:"admitted"`
 	Shed            int64   `json:"shed"`
 	Anomalous       int64   `json:"anomalous"`
 	Alarms          int     `json:"alarms"`
 	Swaps           int64   `json:"swaps_scheduled"`
-	Resizes         int     `json:"resizes"`
 	P50IntervalUs   float64 `json:"p50_interval_micros"`
 	P99IntervalUs   float64 `json:"p99_interval_micros"`
 	P99DeliveryUs   float64 `json:"p99_alarm_delivery_micros"`
@@ -150,12 +146,8 @@ func run(c config, stdout io.Writer) error {
 		return err
 	}
 	var reg *obs.Registry
-	if c.metricsPath != "" || c.autoscale {
+	if c.metricsPath != "" {
 		reg = obs.NewRegistry()
-	}
-	var scale *fleet.ScaleConfig
-	if c.autoscale {
-		scale = &fleet.ScaleConfig{}
 	}
 	tr := &fleet.Trace{}
 	sim, err := fleet.NewSim(fleet.SimConfig{
@@ -167,7 +159,6 @@ func run(c config, stdout io.Writer) error {
 		QueueDepth:     c.queue,
 		ServiceMicros:  c.service,
 		Workers:        c.workers,
-		Scale:          scale,
 		Faults:         faults,
 		Metrics:        reg,
 		Trace:          tr,
@@ -209,11 +200,9 @@ func run(c config, stdout io.Writer) error {
 	}
 
 	out := result{
-		Streams: c.streams, Seed: c.seed, HorizonMs: c.horizonMs,
-		Shards: c.shards, FinalShards: res.FinalShards,
+		Streams: c.streams, Seed: c.seed, HorizonMs: c.horizonMs, Shards: res.Shards,
 		Submitted: res.Submitted, Admitted: res.Admitted, Shed: res.Shed,
-		Anomalous: res.Anomalous, Alarms: len(res.Alarms),
-		Swaps: res.SwapsScheduled, Resizes: res.Resizes,
+		Anomalous: res.Anomalous, Alarms: len(res.Alarms), Swaps: res.SwapsScheduled,
 		P50IntervalUs: res.P50IntervalMicros, P99IntervalUs: res.P99IntervalMicros,
 		P99DeliveryUs: res.P99DeliveryMicros, MaxQueueFrac: res.MaxQueueFrac,
 		TraceLines: tr.Lines(),
@@ -243,12 +232,12 @@ func run(c config, stdout io.Writer) error {
 	_, err = fmt.Fprintf(stdout,
 		"fleet: %d streams over %d ms (seed %d)\n"+
 			"  submitted %d  admitted %d  shed %d  anomalous %d  alarms %d\n"+
-			"  shards %d -> %d (%d resizes)  swaps %d  max queue %.0f%%\n"+
+			"  shards %d  swaps %d  max queue %.0f%%\n"+
 			"  interval latency p50 %.0fµs p99 %.0fµs  alarm delivery p99 %.0fµs (virtual)\n"+
 			"  wall %.1f ms  %.0f streams/s  %.0f intervals/s\n",
 		out.Streams, out.HorizonMs, out.Seed,
 		out.Submitted, out.Admitted, out.Shed, out.Anomalous, out.Alarms,
-		out.Shards, out.FinalShards, out.Resizes, out.Swaps, 100*out.MaxQueueFrac,
+		out.Shards, out.Swaps, 100*out.MaxQueueFrac,
 		out.P50IntervalUs, out.P99IntervalUs, out.P99DeliveryUs,
 		out.WallMs, out.StreamsPerSec, out.IntervalsPerSec)
 	if err == nil && loop != nil {

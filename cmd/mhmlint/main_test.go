@@ -299,11 +299,11 @@ func TestSelfLint(t *testing.T) {
 }
 
 // TestFleetDecisionPathClean pins the fleet control plane specifically:
-// its routing, admission, registry, autoscale and simulator decision
-// functions are //mhm:deterministic-annotated, so detorder walks their
-// transitive closure — a time.Now, global rand, or unordered map fold
-// slipping into a decision path must fail this test, not just the
-// whole-tree run.
+// its routing, admission, registry and simulator decision functions are
+// //mhm:deterministic-annotated, so detorder walks their transitive
+// closure — a time.Now, global rand, or unordered map fold slipping
+// into a decision path must fail this test, not just the whole-tree
+// run.
 func TestFleetDecisionPathClean(t *testing.T) {
 	code, stdout, stderr := runCLI(t, "../../internal/fleet")
 	if code != 0 {

@@ -1,16 +1,15 @@
-// Package fleet is the fleet-scale detection control plane: it serves
-// the paper's per-device memory-heat-map detection for up to 100k+
-// independent device streams. The live Controller pins each stream to
-// one shard worker, so a stream's intervals are scored and recorded in
-// submission order, bit-identical to the serial pipeline.Pipeline; it
-// never blocks a submitter, shedding per-stream-fairly under overload
-// instead (admission.go). Each interval is scored under the model the
-// per-stream registry resolves for it (registry.go, copy-on-write hot
-// swap at exact interval boundaries). The deterministic simulator
-// (sim.go) drives the same decisions — admission, routing over a
-// resizable shard set (router.go), hot swaps and obs-driven
-// autoscaling (autoscale.go) — in virtual time, so every one of them is
-// bit-reproducible and assertable.
+// Package fleet is the fleet detection control plane: it serves the
+// paper's per-device memory-heat-map detection to many independent
+// device streams over a fixed set of shards. The live Controller pins
+// each stream to one shard worker, so a stream's intervals are scored
+// and recorded in submission order, bit-identical to the serial
+// pipeline.Pipeline; it never blocks a submitter, shedding
+// per-stream-fairly under overload instead (admission.go). Each
+// interval is scored under the model the per-stream registry resolves
+// for it (registry.go, copy-on-write hot swap at exact interval
+// boundaries). The deterministic simulator (sim.go) drives the same
+// decisions — routing (router.go), admission and hot swaps — in virtual
+// time, so every one of them is bit-reproducible and assertable.
 package fleet
 
 import (
@@ -36,8 +35,8 @@ var ErrClosed = errors.New("fleet: controller closed")
 
 // Config tunes the live controller.
 type Config struct {
-	// Shards is the initial worker count (default GOMAXPROCS, capped at
-	// the stream count).
+	// Shards is the worker count (default GOMAXPROCS, capped at the
+	// stream count).
 	Shards int
 	// QueueDepth is the per-shard queue capacity (default 128). Negative
 	// values are rejected: a fleet must state its capacity, not
@@ -94,23 +93,20 @@ func (c *Config) fill(streams int) error {
 
 // fleetMetrics is the controller's frozen metric set; the golden schema
 // test pins these names so dashboards cannot break silently. All
-// metrics are fleet-aggregate — per-shard names would churn under
-// autoscaling.
+// metrics are fleet-aggregate: one name per quantity, whatever the
+// shard count.
 type fleetMetrics struct {
 	submitted *obs.Counter // fleet.submitted
 	admitted  *obs.Counter // fleet.admitted
 	shed      *obs.Counter // fleet.shed
 	anomalous *obs.Counter // fleet.anomalous
 	swaps     *obs.Counter // fleet.swaps
-	resizes   *obs.Counter // fleet.resizes
 	raised    *obs.Counter // fleet.alarms_raised
 	cleared   *obs.Counter // fleet.alarms_cleared
 
-	shards    *obs.Gauge // fleet.shards
-	streams   *obs.Gauge // fleet.streams
-	inflight  *obs.Gauge // fleet.inflight
-	queueFrac *obs.Gauge // fleet.queue_frac_max
-	p99       *obs.Gauge // fleet.p99_interval_micros
+	shards   *obs.Gauge // fleet.shards
+	streams  *obs.Gauge // fleet.streams
+	inflight *obs.Gauge // fleet.inflight
 
 	interval *obs.Histogram // fleet.interval_micros
 	delivery *obs.Histogram // fleet.alarm_delivery_micros
@@ -123,14 +119,11 @@ func newFleetMetrics(reg *obs.Registry) fleetMetrics {
 		shed:      reg.Counter("fleet.shed"),
 		anomalous: reg.Counter("fleet.anomalous"),
 		swaps:     reg.Counter("fleet.swaps"),
-		resizes:   reg.Counter("fleet.resizes"),
 		raised:    reg.Counter("fleet.alarms_raised"),
 		cleared:   reg.Counter("fleet.alarms_cleared"),
 		shards:    reg.Gauge("fleet.shards"),
 		streams:   reg.Gauge("fleet.streams"),
 		inflight:  reg.Gauge("fleet.inflight"),
-		queueFrac: reg.Gauge("fleet.queue_frac_max"),
-		p99:       reg.Gauge("fleet.p99_interval_micros"),
 		interval:  reg.Histogram("fleet.interval_micros", obs.LatencyBuckets),
 		delivery:  reg.Histogram("fleet.alarm_delivery_micros", obs.LatencyBuckets),
 	}

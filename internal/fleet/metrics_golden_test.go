@@ -81,10 +81,14 @@ func TestFleetMetricsRegisteredThroughStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err != nil {
+	res, err := s.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	checkNames(t, "simulator", sreg, want)
+	if got := sreg.Snapshot().Gauges["fleet.shards"]; got != float64(res.Shards) {
+		t.Errorf("fleet.shards gauge %g, run served on %d shards", got, res.Shards)
+	}
 }
 
 func readGoldenNames(t *testing.T) metricNames {

@@ -1,16 +1,14 @@
-// Stream→shard routing for the fleet controller and simulator. The
-// requirements are a stream-affinity contract over a resizable shard
-// set: every stream maps to exactly one shard (so one worker owns the
-// stream's order), the mapping is a pure function of (stream, shard
-// count) so any component can recompute it without coordination, and a
-// resize moves as few streams as possible — ~streams/shards per ±1
-// step, not a full reshuffle like `stream mod shards` would.
+// Stream→shard routing for the fleet controller and simulator. Every
+// stream maps to exactly one shard of a fixed set, so one worker owns
+// the stream's order, and the mapping is a pure function of (stream,
+// shard count), so any component can recompute it without
+// coordination.
 //
-// Jump consistent hashing (Lamping & Veach, arXiv 1406.2294) gives
-// exactly that: growing n→n+1 moves only the streams that land on the
-// new shard, shrinking n+1→n moves only the streams that were on the
-// removed (highest-numbered) shard. Shards are therefore numbered
-// 0..n-1 and the autoscaler always adds/removes at the top.
+// The map is jump consistent hashing (Lamping & Veach, arXiv
+// 1406.2294) over a splitmix64-mixed stream ID, which spreads streams
+// evenly over the shards. Which shard a stream lands on decides which
+// queue it competes for, so changing the map changes shed decisions
+// and every decision trace with them.
 package fleet
 
 // splitmix64 is the stateless mixer used everywhere the fleet needs a
@@ -41,19 +39,4 @@ func RouteStream(stream int, shards int) int {
 		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((key>>33)+1)))
 	}
 	return int(b)
-}
-
-// MovedStreams counts how many of the streams [0, streams) change
-// owner when the shard set resizes from → to — the disruption cost the
-// autoscaler weighs and the resize trace records.
-//
-//mhm:deterministic
-func MovedStreams(streams, from, to int) int {
-	moved := 0
-	for s := 0; s < streams; s++ {
-		if RouteStream(s, from) != RouteStream(s, to) {
-			moved++
-		}
-	}
-	return moved
 }

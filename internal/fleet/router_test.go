@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -19,73 +18,31 @@ func TestRouteStreamInRange(t *testing.T) {
 	}
 }
 
-// TestRouteStreamMonotoneGrowth pins the jump-hash contract exactly: on
-// a grow from n to n+1 shards, a stream either stays put or moves to the
-// new shard n — never between old shards. This is what makes a resize
-// re-home only the moved streams.
-func TestRouteStreamMonotoneGrowth(t *testing.T) {
-	const streams = 4096
-	for n := 1; n < 64; n++ {
-		for s := 0; s < streams; s++ {
-			before := RouteStream(s, n)
-			after := RouteStream(s, n+1)
-			if after != before && after != n {
-				t.Fatalf("stream %d: grow %d->%d moved %d->%d (not the new shard)",
-					s, n, n+1, before, after)
-			}
-		}
-	}
-}
-
 // TestRouteStreamResizeProperty is the randomized property test: random
 // walks over shard counts, asserting (a) determinism — the same
-// (stream, shards) always routes identically, (b) bounded movement —
-// each ±1 resize step moves at most streams/newShards + ε streams,
-// where ε covers hash variance, and (c) balance — no shard holds more
-// than 3× its fair share.
+// (stream, shards) always routes identically — and (b) balance — no
+// shard holds more than 3× its fair share.
 func TestRouteStreamResizeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const streams = 8192
 	for trial := 0; trial < 20; trial++ {
 		shards := 1 + rng.Intn(96)
-		assign := make([]int, streams)
-		for s := range assign {
-			assign[s] = RouteStream(s, shards)
-		}
 		for step := 0; step < 30; step++ {
-			next := shards
 			if rng.Intn(2) == 0 && shards > 1 {
-				next--
+				shards--
 			} else {
-				next++
+				shards++
 			}
-			moved := 0
 			for s := 0; s < streams; s++ {
-				sh := RouteStream(s, next)
-				if sh != RouteStream(s, next) {
+				if RouteStream(s, shards) != RouteStream(s, shards) {
 					t.Fatal("RouteStream not deterministic")
 				}
-				if sh != assign[s] {
-					moved++
-				}
-				assign[s] = sh
 			}
-			fair := float64(streams) / float64(next)
-			eps := 4*math.Sqrt(fair) + 8
-			if float64(moved) > fair+eps {
-				t.Fatalf("resize %d->%d moved %d streams, bound %.0f",
-					shards, next, moved, fair+eps)
-			}
-			if got := MovedStreams(streams, shards, next); got != moved {
-				t.Fatalf("MovedStreams(%d, %d, %d) = %d, counted %d",
-					streams, shards, next, got, moved)
-			}
-			shards = next
 		}
 		// Balance after the walk.
 		load := make([]int, shards)
-		for _, sh := range assign {
-			load[sh]++
+		for s := 0; s < streams; s++ {
+			load[RouteStream(s, shards)]++
 		}
 		fair := float64(streams) / float64(shards)
 		for sh, n := range load {
@@ -93,53 +50,6 @@ func TestRouteStreamResizeProperty(t *testing.T) {
 				t.Fatalf("shard %d holds %d streams, fair share %.0f", sh, n, fair)
 			}
 		}
-	}
-}
-
-// TestRouteStreamOrderAcrossResize asserts the ordering contract the
-// controller's drain-barrier resize relies on: per-stream submission
-// order is preserved across a resize because the stream's entire queue
-// position transfers atomically (simulated here by replaying a schedule
-// through the routing function before and after a resize and checking
-// each stream's events never interleave out of order).
-func TestRouteStreamOrderAcrossResize(t *testing.T) {
-	const streams, events = 128, 12
-	type ev struct{ stream, seq, shard int }
-	var timeline []ev
-	shards := 4
-	for seq := 0; seq < events; seq++ {
-		if seq == events/2 {
-			shards = 7 // resize mid-schedule
-		}
-		for s := 0; s < streams; s++ {
-			timeline = append(timeline, ev{s, seq, RouteStream(s, shards)})
-		}
-	}
-	// Within a stream, sequence numbers must appear in submission order
-	// (trivially true for a deterministic route + FIFO shards; the check
-	// guards against a future router that splits one stream's events
-	// across shards within a single topology).
-	seen := make([]int, streams)
-	for i := range seen {
-		seen[i] = -1
-	}
-	for _, e := range timeline {
-		if e.seq <= seen[e.stream] {
-			t.Fatalf("stream %d: seq %d after %d", e.stream, e.seq, seen[e.stream])
-		}
-		seen[e.stream] = e.seq
-		if want4, want7 := RouteStream(e.stream, 4), RouteStream(e.stream, 7); e.shard != want4 && e.shard != want7 {
-			t.Fatalf("stream %d routed to %d, expected %d or %d", e.stream, e.shard, want4, want7)
-		}
-	}
-}
-
-func TestMovedStreamsEdgeCases(t *testing.T) {
-	if got := MovedStreams(100, 5, 5); got != 0 {
-		t.Fatalf("no-op resize moved %d", got)
-	}
-	if got := MovedStreams(100, 1, 2); got == 0 || got == 100 {
-		t.Fatalf("1->2 moved %d, want strictly between", got)
 	}
 }
 

@@ -1,23 +1,22 @@
 // The deterministic fleet simulator: the test harness the control
 // plane is designed around. Real goroutine interleavings make a live
-// 10k-stream controller impossible to assert decision-by-decision, so
-// the simulator re-runs the same decision functions — RouteStream,
-// admitVerdict, Registry.ModelFor, Autoscaler.Decide — on a virtual
-// microsecond clock with a seeded workload and scripted fault
-// injection. Admission, shedding, hot swaps, resizes and alarm
-// deliveries are decided in a sequential pass over time-sorted events
-// (bit-reproducible by construction); only the scoring of the admitted
-// batch fans out over real goroutines, writing densities into per-slot
-// storage exactly like the training engine's chunk dispatch — so two
-// runs with the same seed produce byte-identical decision traces and
-// alarm sequences at any parallelism, including under -race.
+// controller impossible to assert decision-by-decision, so the
+// simulator re-runs the same decision functions — RouteStream,
+// admitVerdict, Registry.ModelFor — on a virtual microsecond clock with
+// a seeded workload and scripted fault injection. Admission, shedding,
+// hot swaps and alarm deliveries are decided in a sequential pass over
+// time-sorted events (bit-reproducible by construction); only the
+// scoring of the admitted batch fans out over real goroutines, writing
+// densities into per-slot storage exactly like the training engine's
+// chunk dispatch — so two runs with the same seed produce byte-identical
+// decision traces and alarm sequences at any parallelism, including
+// under -race.
 //
-// The queueing model: each shard serves its FIFO queue one interval at
-// a time, ServiceMicros of virtual work per interval. An admitted
-// interval starts at max(arrival, shard backlog, the stream's previous
-// completion) — the last term preserves per-stream order across a
-// resize that re-homes the stream mid-flight, mirroring the live
-// controller's drain barrier.
+// The queueing model: a fixed set of shards, each serving its FIFO
+// queue one interval at a time, ServiceMicros of virtual work per
+// interval. An admitted interval starts at max(arrival, shard backlog).
+// A stream never leaves its shard, so its intervals complete in
+// submission order.
 package fleet
 
 import (
@@ -39,9 +38,6 @@ const (
 	// FaultOverload multiplies the affected streams' submission rate by
 	// Factor during the window — the shedding trigger.
 	FaultOverload = "overload"
-	// FaultStall multiplies every shard's service time by Factor during
-	// the window — a slow secure core, the autoscale-up trigger.
-	FaultStall = "stall"
 	// FaultAnomaly makes the affected streams emit anomalous heat maps
 	// during the window — the alarm trigger.
 	FaultAnomaly = "anomaly"
@@ -57,7 +53,7 @@ type Fault struct {
 	// StreamLo, StreamHi bound the affected streams [lo, hi); 0,0 means
 	// every stream.
 	StreamLo, StreamHi int
-	// Factor is the overload rate / stall service multiplier.
+	// Factor is the overload rate multiplier.
 	Factor float64
 	// SwapInterval is the FaultSwap per-stream boundary index.
 	SwapInterval int
@@ -65,7 +61,7 @@ type Fault struct {
 
 func (f *Fault) fill(streams int) error {
 	switch f.Kind {
-	case FaultOverload, FaultStall:
+	case FaultOverload:
 		if f.Factor <= 0 {
 			return fmt.Errorf("fleet: %s fault factor %g: %w", f.Kind, f.Factor, ErrConfig)
 		}
@@ -111,7 +107,7 @@ type SimConfig struct {
 	IntervalMicros int64
 	// JitterMicros bounds per-emission arrival jitter (default 500).
 	JitterMicros int64
-	// Shards is the initial shard count (default 4).
+	// Shards is the fixed shard count (default 4, capped at Streams).
 	Shards int
 	// QueueDepth, MaxPerStream, HighWaterFrac: admission parameters,
 	// defaults as in Config.
@@ -125,10 +121,6 @@ type SimConfig struct {
 	Quantile float64
 	// Alarm configures per-stream debouncing.
 	Alarm alarm.Config
-	// Scale enables autoscaling when non-nil; PollMicros is the gauge
-	// publication / decision cadence (default 5 intervals).
-	Scale      *ScaleConfig
-	PollMicros int64
 	// Faults is the injection script.
 	Faults []Fault
 	// Workers bounds the real goroutines scoring admitted batches
@@ -191,9 +183,6 @@ func (c *SimConfig) fill() error {
 	if c.Quantile == 0 {
 		c.Quantile = 0.01
 	}
-	if c.PollMicros == 0 {
-		c.PollMicros = 5 * c.IntervalMicros
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -226,15 +215,18 @@ type SimResult struct {
 	// interval, so this is 0 by invariant; the refresh experiments
 	// assert it.
 	DroppedIntervals int64
-	Resizes          int
-	FinalShards      int
-	Alarms           []AlarmEvent
+	// Shards is the shard count the run served on, after the default
+	// and the stream-count cap.
+	Shards int
+	Alarms []AlarmEvent
 	// Interval completion latency over admitted intervals, virtual µs.
 	P50IntervalMicros, P99IntervalMicros float64
 	// Alarm delivery latency (completion − interval end) over raise
 	// transitions, virtual µs.
 	P99DeliveryMicros float64
-	MaxQueueFrac      float64
+	// MaxQueueFrac is the fullest any shard queue got, as a fraction of
+	// QueueDepth, read at every admission.
+	MaxQueueFrac float64
 }
 
 // ModelMaintainer observes every scored interval from the simulator's
@@ -277,12 +269,6 @@ var SimRegion = heatmap.Def{AddrBase: 0x2000_0000, Size: 64 * 256, Gran: 256}
 func NewSim(cfg SimConfig) (*Sim, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
-	}
-	// Autoscaling decides from the obs gauges; without a registry the
-	// gauges read 0 and every poll looks idle. Give the loop a private
-	// registry rather than let it silently shrink to MinShards.
-	if cfg.Scale != nil && cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
 	}
 	wl, err := NewWorkload(cfg.Seed, SimRegion)
 	if err != nil {
@@ -345,16 +331,7 @@ type qitem struct {
 func (s *Sim) Run() (*SimResult, error) {
 	cfg := &s.cfg
 	tr := cfg.Trace
-
-	var auto *Autoscaler
-	if cfg.Scale != nil {
-		var err error
-		if auto, err = NewAutoscaler(*cfg.Scale, cfg.Metrics); err != nil {
-			return nil, err
-		}
-	}
-
-	res := &SimResult{}
+	res := &SimResult{Shards: cfg.Shards}
 
 	// Schedule FaultSwap injections up front: boundaries are per-stream
 	// interval indices, so scheduling time does not matter.
@@ -384,7 +361,6 @@ func (s *Sim) Run() (*SimResult, error) {
 	genIdx := make([]int, n)   // emissions so far
 	scored := make([]int, n)   // admitted (scored) intervals so far
 	inflight := make([]int, n) // queued, not yet complete
-	lastDone := make([]int64, n)
 	rts := make([]*alarm.Runtime, n)
 	for i := range rts {
 		rt, err := alarm.NewRuntime(cfg.Alarm)
@@ -398,20 +374,13 @@ func (s *Sim) Run() (*SimResult, error) {
 	s.met.streams.Set(float64(n))
 
 	// Shard state.
-	shards := cfg.Shards
-	busyUntil := make([]int64, shards)
-	queues := make([][]qitem, shards)
-	var retired []qitem // in-flight items of removed shards
-	s.met.shards.Set(float64(shards))
+	busyUntil := make([]int64, cfg.Shards)
+	queues := make([][]qitem, cfg.Shards)
+	s.met.shards.Set(float64(cfg.Shards))
 
 	highWater := highWaterMark(cfg.QueueDepth, cfg.HighWaterFrac)
-	lastPoll := int64(-1)
-	// Queue-occupancy high-water mark over the poll window: sampling only
-	// at poll boundaries (after the drain) would understate congestion,
-	// since everything due by then has completed.
-	windowMaxFrac := 0.0
 
-	var latencies, windowLat, deliveryLat []float64
+	var latencies, deliveryLat []float64
 
 	pool := sync.Pool{New: func() any {
 		return &simScratch{
@@ -430,57 +399,6 @@ func (s *Sim) Run() (*SimResult, error) {
 
 	for tick := int64(0); tick < cfg.HorizonMicros; tick += cfg.IntervalMicros {
 		tickEnd := tick + cfg.IntervalMicros
-
-		// Gauge publication + autoscale decision at poll boundaries.
-		if tick/cfg.PollMicros != lastPoll/cfg.PollMicros || lastPoll < 0 {
-			lastPoll = tick
-			for sh := range queues {
-				drainShard(queues, inflight, sh, tick)
-			}
-			retired = drainRetired(retired, inflight, tick)
-			maxFrac := windowMaxFrac
-			windowMaxFrac = 0
-			for _, q := range queues {
-				if f := float64(len(q)) / float64(cfg.QueueDepth); f > maxFrac {
-					maxFrac = f
-				}
-			}
-			if maxFrac > res.MaxQueueFrac {
-				res.MaxQueueFrac = maxFrac
-			}
-			p99 := quantileSorted(sortedCopy(windowLat), 0.99)
-			windowLat = windowLat[:0]
-			s.met.queueFrac.Set(maxFrac)
-			s.met.p99.Set(p99)
-			if auto != nil {
-				target, reason := auto.Decide(tick, shards)
-				if target > n {
-					target = n
-				}
-				if target != shards {
-					moved := MovedStreams(n, shards, target)
-					tr.Eventf("t=%d resize %d->%d moved=%d reason=%s", tick, shards, target, moved, reason)
-					// Shrink: surviving in-flight work keeps draining from
-					// the retired list; grow: new shards start idle.
-					for sh := target; sh < shards; sh++ {
-						retired = append(retired, queues[sh]...)
-					}
-					if target < shards {
-						busyUntil = busyUntil[:target]
-						queues = queues[:target]
-					} else {
-						for sh := shards; sh < target; sh++ {
-							busyUntil = append(busyUntil, tick)
-							queues = append(queues, nil)
-						}
-					}
-					shards = target
-					res.Resizes++
-					s.met.resizes.Inc()
-					s.met.shards.Set(float64(shards))
-				}
-			}
-		}
 
 		// Collect the tick's emissions, time-sorted with stream as the
 		// tie-break so the admission order is total.
@@ -518,9 +436,8 @@ func (s *Sim) Run() (*SimResult, error) {
 		for _, ev := range events {
 			res.Submitted++
 			s.met.submitted.Inc()
-			sh := RouteStream(ev.stream, shards)
+			sh := RouteStream(ev.stream, cfg.Shards)
 			drainShard(queues, inflight, sh, ev.t)
-			retired = drainRetired(retired, inflight, ev.t)
 			reason := admitVerdict(len(queues[sh]), cfg.QueueDepth, inflight[ev.stream],
 				cfg.MaxPerStream, highWater)
 			if reason != "" {
@@ -541,27 +458,12 @@ func (s *Sim) Run() (*SimResult, error) {
 				res.DroppedIntervals++
 				continue
 			}
-			svc := cfg.ServiceMicros
-			for i := range cfg.Faults {
-				f := &cfg.Faults[i]
-				if f.Kind == FaultStall && f.covers(ev.t, ev.stream) {
-					svc = int64(float64(svc) * f.Factor)
-				}
-			}
-			start := ev.t
-			if busyUntil[sh] > start {
-				start = busyUntil[sh]
-			}
-			if lastDone[ev.stream] > start {
-				start = lastDone[ev.stream]
-			}
-			done := start + svc
+			done := max(ev.t, busyUntil[sh]) + cfg.ServiceMicros
 			busyUntil[sh] = done
-			lastDone[ev.stream] = done
 			queues[sh] = append(queues[sh], qitem{done: done, stream: ev.stream})
 			inflight[ev.stream]++
-			if f := float64(len(queues[sh])) / float64(cfg.QueueDepth); f > windowMaxFrac {
-				windowMaxFrac = f
+			if f := float64(len(queues[sh])) / float64(cfg.QueueDepth); f > res.MaxQueueFrac {
+				res.MaxQueueFrac = f
 			}
 			anom := false
 			for i := range cfg.Faults {
@@ -576,7 +478,6 @@ func (s *Sim) Run() (*SimResult, error) {
 			})
 			lat := float64(done - ev.t)
 			latencies = append(latencies, lat)
-			windowLat = append(windowLat, lat)
 			res.Admitted++
 			s.met.admitted.Inc()
 			s.met.interval.Observe(lat)
@@ -644,19 +545,14 @@ func (s *Sim) Run() (*SimResult, error) {
 	res.P50IntervalMicros = quantileSorted(lat, 0.50)
 	res.P99IntervalMicros = quantileSorted(lat, 0.99)
 	res.P99DeliveryMicros = quantileSorted(sortedCopy(deliveryLat), 0.99)
-	res.FinalShards = shards
 	return res, nil
 }
 
 // drainShard completes queued intervals whose virtual finish time has
-// passed, releasing the streams' in-flight slots. A negative shard
-// index is a no-op.
+// passed, releasing the streams' in-flight slots.
 //
 //mhm:deterministic
 func drainShard(queues [][]qitem, inflight []int, shard int, now int64) {
-	if shard < 0 || shard >= len(queues) {
-		return
-	}
 	q := queues[shard]
 	k := 0
 	for k < len(q) && q[k].done <= now {
@@ -666,22 +562,6 @@ func drainShard(queues [][]qitem, inflight []int, shard int, now int64) {
 	if k > 0 {
 		queues[shard] = q[:copy(q, q[k:])]
 	}
-}
-
-// drainRetired completes in-flight intervals of removed shards.
-//
-//mhm:deterministic
-func drainRetired(retired []qitem, inflight []int, now int64) []qitem {
-	k := 0
-	for _, it := range retired {
-		if it.done <= now {
-			inflight[it.stream]--
-		} else {
-			retired[k] = it
-			k++
-		}
-	}
-	return retired[:k]
 }
 
 // sortedCopy returns an ascending copy of xs.

@@ -1,6 +1,6 @@
 // The decision trace: an append-only textual log of every control-plane
-// decision the fleet takes — admission sheds, hot swaps, resizes,
-// autoscale verdicts, alarm deliveries. The simulator's determinism bar
+// decision the fleet takes — admission sheds, hot swaps, alarm
+// deliveries. The simulator's determinism bar
 // is byte-identity of this trace across runs with the same seed, the
 // same bar mhmlint's detorder analyzer enforces on scoring and
 // training: if two runs produce different bytes, a decision depended on

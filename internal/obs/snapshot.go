@@ -113,8 +113,8 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Snapshot copies one histogram's current state into the frozen export
 // form. Safe to call concurrently with Observe; a nil histogram yields
-// an empty snapshot, so read-side consumers (the fleet autoscaler's p99
-// gauge) stay nil-safe like the write side.
+// an empty snapshot, so read-side consumers stay nil-safe like the
+// write side.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}

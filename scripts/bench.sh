@@ -1,9 +1,8 @@
 #!/bin/sh
-# Benchmark the training engine, the scenario matrix, the fleet
-# simulator and the refresh engine, and record machine-readable
-# baselines. Per-interval scoring and ingest cost is measured by the
-# repository benchmark (BENCHMARK.json, bench/), with repeated runs and
-# spread.
+# Benchmark the training engine, the scenario matrix and the refresh
+# engine, and record machine-readable baselines. Per-interval scoring
+# and ingest cost is measured by the repository benchmark
+# (BENCHMARK.json, bench/), with repeated runs and spread.
 #
 # Every BENCH_*.json records the runner's runtime.NumCPU() as "cpus" so
 # a baseline declares the parallelism it was measured under. Speedup
@@ -26,13 +25,6 @@
 # and false-positive rates). Bar: on the stealthy scenarios (mimicry,
 # slow-drift) the best ensemble AUC must not fall below the best single
 # detector — otherwise the fusion layer is dead weight.
-#
-# Fleet: runs the deterministic fleet simulator (cmd/mhmfleet) at 1k,
-# 10k and 100k streams — a capacity-sized nominal run and an overloaded
-# run per scale — and writes BENCH_fleet.json (streams/sec, virtual p99
-# interval latency, virtual p99 alarm-delivery latency, shed counts).
-# Bars: the nominal run must shed nothing (shedding engages only above
-# configured capacity) and the overloaded run must shed something.
 #
 # Refresh: benchmarks the online model-refresh engine's Observe hot
 # path, then runs experiment A14 (mhmreport -exp refresh) — one
@@ -160,59 +152,6 @@ END {
 
 echo
 echo "wrote $SCEN_OUT"
-
-# ------------------------------------------------------------------- fleet
-
-FLEET_OUT="BENCH_fleet.json"
-
-# Shard the fleet to nominal capacity: one shard serves
-# interval/service = 10ms/50µs = 200 streams, halved for headroom.
-fleet_run() { # scale shards extra_flags...
-    _scale="$1"; _shards="$2"; shift 2
-    go run ./cmd/mhmfleet -json -streams "$_scale" -shards "$_shards" \
-        -seed 1 -horizon 300 -anomaly-frac 0.01 "$@"
-}
-
-printf '{\n  "cpus": %d,\n  "scales": [\n' "$CPUS" > "$FLEET_OUT"
-FIRST=1
-FLEET_FAIL=0
-for SCALE in 1000 10000 100000; do
-    SHARDS=$((SCALE / 100))
-    [ "$SHARDS" -lt 4 ] && SHARDS=4
-    NOMINAL="$(fleet_run "$SCALE" "$SHARDS")"
-    OVERLOAD="$(fleet_run "$SCALE" "$SHARDS" -overload 3)"
-    [ "$FIRST" = 1 ] || printf ',\n' >> "$FLEET_OUT"
-    FIRST=0
-    printf '%s\n%s\n' "$NOMINAL" "$OVERLOAD" | awk -v scale="$SCALE" -v shards="$SHARDS" '
-    BEGIN { r = 0 }   # record 0 = nominal, record 1 = overload
-    function grab(line,    v) { v = line; gsub(/[^0-9.eE+-]/, "", v); return v + 0 }
-    /"shed":/                      { shed[r] = grab($2) }
-    /"streams_per_sec":/           { sps[r] = grab($2) }
-    /"intervals_per_sec":/         { ips[r] = grab($2) }
-    /"p99_interval_micros":/       { p99[r] = grab($2) }
-    /"p99_alarm_delivery_micros":/ { del[r] = grab($2) }
-    /^}/                           { r++ }
-    END {
-        printf "    {\"streams\": %d, \"shards\": %d,\n", scale, shards
-        printf "     \"nominal\": {\"streams_per_sec\": %.0f, \"intervals_per_sec\": %.0f, \"p99_interval_micros\": %.1f, \"p99_alarm_delivery_micros\": %.1f, \"shed\": %d},\n", sps[0], ips[0], p99[0], del[0], shed[0]
-        printf "     \"overload\": {\"streams_per_sec\": %.0f, \"intervals_per_sec\": %.0f, \"p99_interval_micros\": %.1f, \"p99_alarm_delivery_micros\": %.1f, \"shed\": %d}}", sps[1], ips[1], p99[1], del[1], shed[1]
-        if (shed[0] != 0) {
-            printf "bench.sh: fleet nominal run at %d streams shed %d intervals, want 0\n", scale, shed[0] > "/dev/stderr"
-            exit 1
-        }
-        if (shed[1] == 0) {
-            printf "bench.sh: fleet overload run at %d streams shed nothing\n", scale > "/dev/stderr"
-            exit 1
-        }
-    }
-    ' >> "$FLEET_OUT" || FLEET_FAIL=1
-done
-printf '\n  ]\n}\n' >> "$FLEET_OUT"
-[ "$FLEET_FAIL" = 0 ] || { echo "bench.sh: fleet bars failed" >&2; exit 1; }
-
-echo
-echo "wrote $FLEET_OUT:"
-cat "$FLEET_OUT"
 
 # ----------------------------------------------------------------- refresh
 
