@@ -18,6 +18,7 @@ import (
 	"github.com/memheatmap/mhm/internal/heatmap"
 	"github.com/memheatmap/mhm/internal/obs"
 	"github.com/memheatmap/mhm/internal/pca"
+	"github.com/memheatmap/mhm/internal/score"
 	"github.com/memheatmap/mhm/internal/stats"
 	"github.com/memheatmap/mhm/internal/train"
 )
@@ -151,10 +152,12 @@ type Detector struct {
 }
 
 // Instrument installs per-stage latency histograms on the detector:
-// core.project_micros times the eigenmemory projection (Eq. 1) and
-// core.score_micros the mixture density evaluation (Eq. 2). Passing a
-// nil registry uninstalls instrumentation. Not safe to call while
-// another goroutine is scoring.
+// core.project_micros times the eigenmemory projection (Eq. 1, the
+// occupied-cell listing included) and core.score_micros the mixture
+// density (Eq. 2) of every LogDensity and LogDensityVector call. Both
+// time the Scorer's two halves, the same kernels in the same order an
+// uninstrumented detector runs. Passing a nil registry uninstalls
+// instrumentation. Not safe to call while another goroutine is scoring.
 func (d *Detector) Instrument(r *obs.Registry) {
 	d.projHist = r.Histogram("core.project_micros", obs.LatencyBuckets)
 	d.scoreHist = r.Histogram("core.score_micros", obs.LatencyBuckets)
@@ -329,7 +332,7 @@ func (d *Detector) Residual(m *heatmap.HeatMap) (float64, error) {
 		return 0, fmt.Errorf("core: got %+v with %d cells, trained on %+v: %w",
 			m.Def, len(m.Counts), d.Region, ErrRegionMismatch)
 	}
-	s := rt.staged(rt.pool.Get().(*detScratch))
+	s := rt.forResidual(rt.pool.Get().(*detScratch))
 	defer rt.pool.Put(s)
 	m.VectorInto(s.vbuf)
 	return d.PCA.ReconstructionErrorInto(s.w, s.rec, s.vbuf)
@@ -374,8 +377,7 @@ func (d *Detector) Dim() (int, int) { return d.PCA.Dim() }
 // LogDensity scores one MHM: mean-shift, project onto the eigenmemories,
 // evaluate the mixture log density (the y-axis of the paper's Figs.
 // 7/8/10). It scores straight from the counts (Scorer.ScoreCounts), so
-// a sparse interval is never widened to a float vector; an instrumented
-// detector widens it for the staged route. Allocation-free.
+// a sparse interval is never widened to a float vector. Allocation-free.
 func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
 	rt, err := d.runtime()
 	if err != nil {
@@ -390,13 +392,13 @@ func (d *Detector) LogDensity(m *heatmap.HeatMap) (float64, error) {
 	if d.projHist == nil && d.scoreHist == nil {
 		return s.sc.ScoreCounts(m.Counts)
 	}
-	rt.staged(s)
-	m.VectorInto(s.vbuf)
-	return d.scoreVector(s, s.vbuf)
+	sw := d.projHist.Start()
+	err = s.sc.ProjectCounts(m.Counts)
+	return d.timedDensity(sw, s.sc, err)
 }
 
-// LogDensityVector scores a raw MHM vector (length L), allocation-free
-// and safe for concurrent use.
+// LogDensityVector scores a raw MHM vector (length L) through
+// Scorer.Score, allocation-free and safe for concurrent use.
 func (d *Detector) LogDensityVector(v []float64) (float64, error) {
 	rt, err := d.runtime()
 	if err != nil {
@@ -404,26 +406,26 @@ func (d *Detector) LogDensityVector(v []float64) (float64, error) {
 	}
 	s := rt.pool.Get().(*detScratch)
 	defer rt.pool.Put(s)
-	return d.scoreVector(s, v)
-}
-
-// scoreVector scores one vector with pooled scratch: the fused kernel
-// normally, or the staged Into path when per-stage histograms are
-// installed (so project/score timings stay separable).
-func (d *Detector) scoreVector(s *detScratch, v []float64) (float64, error) {
 	if d.projHist == nil && d.scoreHist == nil {
 		return s.sc.Score(v)
 	}
-	d.scoring.staged(s)
 	sw := d.projHist.Start()
-	err := d.PCA.ProjectInto(s.w, v)
+	err = s.sc.Project(v)
+	return d.timedDensity(sw, s.sc, err)
+}
+
+// timedDensity closes an instrumented score once the Scorer's projection
+// half has run under sw (err is its result): it hands the clock to the
+// score histogram and runs the density half, so the two halves compose
+// exactly as ScoreCounts and Score compose them.
+func (d *Detector) timedDensity(sw obs.Stopwatch, sc *score.Scorer, err error) (float64, error) {
 	sw = sw.Handoff(d.scoreHist)
 	if err != nil {
 		return 0, err
 	}
-	lp, err := d.GMM.LogProbScratch(s.w, s.gs)
+	lp := sc.Density()
 	sw.Stop()
-	return lp, err
+	return lp, nil
 }
 
 // Threshold returns θ_p for a calibrated quantile.

@@ -6,7 +6,10 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/memheatmap/mhm/internal/gmm"
 	"github.com/memheatmap/mhm/internal/heatmap"
+	"github.com/memheatmap/mhm/internal/pca"
+	"github.com/memheatmap/mhm/internal/score"
 )
 
 // TestNewDetectorMatchesTrained reassembles a trained detector's models
@@ -69,6 +72,33 @@ func TestNewDetectorValidation(t *testing.T) {
 	} {
 		if _, err := NewDetector(d.Region, d.PCA, d.GMM, ths); !errors.Is(err, ErrConfig) {
 			t.Errorf("thresholds %s: %v, want ErrConfig", name, err)
+		}
+	}
+}
+
+// TestNewDetectorRejectsNonFiniteModels: a NaN or ±Inf anywhere in the
+// models — the basis, its mean, a weight, a mixture mean or a
+// covariance — is refused with score.ErrModel. The projection skips
+// empty cells, which is exact only over a finite basis.
+func TestNewDetectorRejectsNonFiniteModels(t *testing.T) {
+	d, _ := trainTestDetector(t)
+	for name, spoil := range map[string]func(p *pca.Model, g *gmm.Model){
+		"+Inf basis entry":    func(p *pca.Model, _ *gmm.Model) { p.Components.Set(5, 1, math.Inf(1)) },
+		"NaN mixture mean":    func(_ *pca.Model, g *gmm.Model) { g.Components[1].Mean[2] = math.NaN() },
+		"-Inf eigen mean":     func(p *pca.Model, _ *gmm.Model) { p.Mean[3] = math.Inf(-1) },
+		"NaN weight":          func(_ *pca.Model, g *gmm.Model) { g.Components[0].Weight = math.NaN() },
+		"+Inf covariance":     func(_ *pca.Model, g *gmm.Model) { g.Components[2].Cov.Set(0, 1, math.Inf(1)) },
+		"NaN covariance diag": func(_ *pca.Model, g *gmm.Model) { g.Components[0].Cov.Set(3, 3, math.NaN()) },
+	} {
+		p := &pca.Model{Mean: slices.Clone(d.PCA.Mean), Components: d.PCA.Components.Clone(),
+			Values: d.PCA.Values, TotalVariance: d.PCA.TotalVariance}
+		g := &gmm.Model{}
+		for _, c := range d.GMM.Components {
+			g.Components = append(g.Components, gmm.Component{Weight: c.Weight, Mean: slices.Clone(c.Mean), Cov: c.Cov.Clone()})
+		}
+		spoil(p, g)
+		if _, err := NewDetector(d.Region, p, g, d.Thresholds); !errors.Is(err, score.ErrModel) {
+			t.Errorf("%s: %v, want score.ErrModel", name, err)
 		}
 	}
 }

@@ -18,29 +18,25 @@ import (
 // scoring method rejects it.
 type scoring struct {
 	eng  *score.Engine
-	gmm  *gmm.Model
 	pool sync.Pool // *detScratch
 }
 
 // detScratch is one pooled unit of per-call working storage. The pool
-// builds only the Scorer; the staged buffers, which only the
-// instrumented and residual paths use, are allocated on their first use
-// (staged), so a detector that only scores fused — a refresh candidate
-// scoring its holdout — never allocates them.
+// builds only the Scorer; the residual buffers are allocated on their
+// first use (forResidual), so a detector that only scores — a refresh
+// candidate scoring its holdout — never allocates them.
 type detScratch struct {
 	sc   *score.Scorer // fused scoring
 	vbuf []float64     // length L: HeatMap.VectorInto target
-	w    []float64     // length L': staged projection output
+	w    []float64     // length L': residual projection output
 	rec  []float64     // length L: residual reconstruction scratch
-	gs   *gmm.Scratch  // staged density evaluation scratch
 }
 
-// staged returns a pooled unit with the staged buffers allocated.
-func (rt *scoring) staged(s *detScratch) *detScratch {
+// forResidual returns a pooled unit with the residual buffers allocated.
+func (rt *scoring) forResidual(s *detScratch) *detScratch {
 	if s.vbuf == nil {
 		l, lp := rt.eng.Dim()
 		s.vbuf, s.w, s.rec = make([]float64, l), make([]float64, lp), make([]float64, l)
-		s.gs = rt.gmm.NewScratch()
 	}
 	return s
 }
@@ -57,7 +53,7 @@ func newScoring(region heatmap.Def, p *pca.Model, g *gmm.Model) (*scoring, error
 	if l, _ := eng.Dim(); l != region.Cells() {
 		return nil, fmt.Errorf("core: %d eigenmemory dims for a %d-cell region: %w", l, region.Cells(), ErrRegionMismatch)
 	}
-	rt := &scoring{eng: eng, gmm: g}
+	rt := &scoring{eng: eng}
 	rt.pool.New = func() any { return &detScratch{sc: eng.NewScorer()} }
 	return rt, nil
 }

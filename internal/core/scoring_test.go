@@ -67,7 +67,7 @@ func TestFusedMatchesStagedDetector(t *testing.T) {
 }
 
 // TestDetectorScoringZeroAlloc pins the steady-state allocation contract
-// of the detector entry points — fused, and staged-with-histograms.
+// of the detector entry points, uninstrumented and instrumented.
 func TestDetectorScoringZeroAlloc(t *testing.T) {
 	d, rng := trainTestDetector(t)
 	m := patternMap(rng, 0)
@@ -91,8 +91,8 @@ func TestDetectorScoringZeroAlloc(t *testing.T) {
 		t.Errorf("fused LogDensity allocates %.1f/op, want 0", n)
 	}
 
-	// Instrumented detectors take the staged Into path so the per-stage
-	// histograms stay meaningful; it must be allocation-free too.
+	// Instrumented detectors time the Scorer's two halves; that must be
+	// allocation-free too.
 	inst := *d
 	inst.Instrument(obs.NewRegistry())
 	if _, err := inst.LogDensity(m); err != nil {
@@ -104,6 +104,13 @@ func TestDetectorScoringZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("instrumented LogDensity allocates %.1f/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := inst.LogDensityVector(v); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("instrumented LogDensityVector allocates %.1f/op, want 0", n)
 	}
 }
 

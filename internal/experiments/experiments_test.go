@@ -265,10 +265,14 @@ func TestAnalysisTimeShape(t *testing.T) {
 	if base.LPrime != 9 || fewer.LPrime != 5 {
 		t.Errorf("L' values = %d/%d, want 9/5", base.LPrime, fewer.LPrime)
 	}
-	// Shape: coarse granularity and fewer eigenmemories are both faster.
-	// A 10% margin absorbs wall-clock measurement noise on a loaded
-	// machine; BenchmarkAnalysisTime_* puts the ratios to the base at
-	// about 0.5 for L = 368 and about 0.85 for L' = 5.
+	// Shape: the projection sweeps only the occupied cells, and coarse
+	// granularity folds the touched cells into fewer; coarse granularity
+	// and fewer eigenmemories are both faster. A 10% margin absorbs
+	// wall-clock measurement noise on a loaded machine.
+	if !(coarse.OccupiedCells > 0 && coarse.OccupiedCells < base.OccupiedCells) {
+		t.Errorf("occupied cells per MHM: coarse %.1f, base %.1f; want 0 < coarse < base",
+			coarse.OccupiedCells, base.OccupiedCells)
+	}
 	if coarse.MeanMicros >= 1.1*base.MeanMicros {
 		t.Errorf("coarse %.2fµs not faster than base %.2fµs", coarse.MeanMicros, base.MeanMicros)
 	}

@@ -142,10 +142,12 @@ type Record struct {
 	Event *alarm.Event
 }
 
-// item is one queued interval.
+// item is one queued interval. admitted is when Submit queued it, read
+// only when metrics are installed (zero otherwise).
 type item struct {
-	stream int
-	m      *heatmap.HeatMap
+	stream   int
+	m        *heatmap.HeatMap
+	admitted time.Time
 }
 
 // streamState is one monitored stream. Stream→shard affinity means
@@ -277,8 +279,12 @@ func (c *Controller) Submit(stream int, m *heatmap.HeatMap) (admitted bool, err 
 	}
 	st.inflight.Add(1)
 	c.met.inflight.Add(1)
+	it := item{stream: stream, m: m}
+	if c.met.interval != nil {
+		it.admitted = time.Now()
+	}
 	select {
-	case ch <- item{stream: stream, m: m}:
+	case ch <- it:
 		c.met.admitted.Inc()
 		return true, nil
 	default:
@@ -292,12 +298,14 @@ func (c *Controller) Submit(stream int, m *heatmap.HeatMap) (admitted bool, err 
 
 // run is one shard worker: it drains the shard's FIFO queue, resolving
 // each interval's model through the registry (hot-swap boundary), then
-// scoring and recording in submission order.
+// scoring and recording in submission order. With metrics installed,
+// fleet.interval_micros and fleet.alarm_delivery_micros observe
+// completion − admission, the queue wait included, as the simulator
+// records them; without, the worker reads no clock.
 func (c *Controller) run(shard int) {
 	defer c.wg.Done()
 	w := c.workers[shard]
 	for it := range c.chans[shard] {
-		start := time.Now()
 		st := c.streams[it.stream]
 
 		st.mu.Lock()
@@ -333,15 +341,19 @@ func (c *Controller) run(shard int) {
 		if anomalous {
 			c.met.anomalous.Inc()
 		}
-		micros := float64(time.Since(start).Nanoseconds()) / 1e3
-		c.met.interval.Observe(micros)
 		if rec.Event != nil {
 			if rec.Event.Raised {
 				c.met.raised.Inc()
 			} else {
 				c.met.cleared.Inc()
 			}
-			c.met.delivery.Observe(micros)
+		}
+		if c.met.interval != nil {
+			micros := float64(time.Since(it.admitted).Nanoseconds()) / 1e3
+			c.met.interval.Observe(micros)
+			if rec.Event != nil {
+				c.met.delivery.Observe(micros)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/memheatmap/mhm/internal/alarm"
 	"github.com/memheatmap/mhm/internal/core"
@@ -95,6 +96,36 @@ func TestControllerBasic(t *testing.T) {
 	}
 	if _, err := c.Submit(0, mustMap(t, wl, 0, 0)); err != ErrClosed {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestControllerLatencyCountsQueueWait pins what fleet.interval_micros
+// measures on the live path: completion − admission, the queue wait
+// included, as the simulator records it. With stream 0's record mutex
+// held, the one shard's worker stalls on stream 0's interval while k
+// more queue behind it; released after 5 ms, every one of the k+1 has
+// waited at least that long since Submit admitted it.
+func TestControllerLatencyCountsQueueWait(t *testing.T) {
+	wl, det := fixture(t)
+	const k = 6
+	reg := obs.NewRegistry()
+	c, err := New(det, k+1, Config{Shards: 1, Metrics: reg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const wait = 5 * time.Millisecond
+	st := c.streams[0]
+	st.mu.Lock()
+	for s := 0; s <= k; s++ {
+		mustSubmit(t, c, wl, s, 0)
+	}
+	time.Sleep(wait)
+	st.mu.Unlock()
+	c.Close()
+	h := reg.Snapshot().Histograms["fleet.interval_micros"]
+	if h.Count != k+1 || h.Min < float64(wait.Microseconds()) {
+		t.Fatalf("fleet.interval_micros: count %d, min %.1f µs; want count %d, min >= %d µs",
+			h.Count, h.Min, k+1, wait.Microseconds())
 	}
 }
 

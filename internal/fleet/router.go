@@ -4,17 +4,16 @@
 // shard count), so any component can recompute it without
 // coordination.
 //
-// The map is jump consistent hashing (Lamping & Veach, arXiv
-// 1406.2294) over a splitmix64-mixed stream ID, which spreads streams
-// evenly over the shards. Which shard a stream lands on decides which
-// queue it competes for, so changing the map changes shed decisions
-// and every decision trace with them.
+// The map is stream % shards: on a fixed shard set it spreads streams
+// exactly evenly. Which shard a stream lands on decides which queue it
+// competes for, so changing the map changes shed decisions and every
+// decision trace with them.
 package fleet
 
 // splitmix64 is the stateless mixer used everywhere the fleet needs a
-// reproducible pseudo-random value keyed by identifiers (stream keys,
-// workload noise): one multiply-xor-shift chain per draw, no shared
-// generator state, bit-stable on every platform.
+// reproducible pseudo-random value keyed by identifiers (workload
+// noise, the simulator's phase stagger): one multiply-xor-shift chain
+// per draw, no shared generator state, bit-stable on every platform.
 //
 //mhm:deterministic
 func splitmix64(x uint64) uint64 {
@@ -24,19 +23,12 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// RouteStream maps a stream to its owning shard in [0, shards) with
-// jump consistent hashing. It is a pure function: callers on any
-// goroutine, the simulator and the live controller all agree on the
-// owner without shared state. shards must be >= 1.
+// RouteStream maps a stream to its owning shard in [0, shards):
+// stream % shards. It is a pure function: callers on any goroutine, the
+// simulator and the live controller all agree on the owner without
+// shared state. stream must be >= 0 and shards >= 1.
 //
 //mhm:deterministic
 func RouteStream(stream int, shards int) int {
-	key := splitmix64(uint64(stream))
-	var b, j int64 = -1, 0
-	for j < int64(shards) {
-		b = j
-		key = key*2862933555777941757 + 1
-		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((key>>33)+1)))
-	}
-	return int(b)
+	return stream % shards
 }

@@ -52,7 +52,29 @@ func (c *Component) prepare() error {
 // LogPDF returns ln f(x | µ, Σ).
 func (c *Component) LogPDF(x []float64) (float64, error) {
 	n := len(c.Mean)
-	return c.logPDFScratch(x, make([]float64, n), make([]float64, n))
+	return c.logPDF(x, make([]float64, n), make([]float64, n))
+}
+
+// logPDF is LogPDF with caller-owned buffers for the mean offset and
+// the triangular solve.
+func (c *Component) logPDF(x, diff, y []float64) (float64, error) {
+	if len(x) != len(c.Mean) {
+		return 0, fmt.Errorf("gmm: LogPDF: dim %d, want %d: %w", len(x), len(c.Mean), ErrTraining)
+	}
+	if c.chol == nil {
+		if err := c.prepare(); err != nil {
+			return 0, err
+		}
+	}
+	for i := range x {
+		diff[i] = x[i] - c.Mean[i]
+	}
+	m2, err := c.chol.MahalanobisSqScratch(diff, y)
+	if err != nil {
+		return 0, err
+	}
+	dim := float64(len(x))
+	return -0.5 * (dim*log2Pi + c.logDet + m2), nil
 }
 
 // Model is a J-component Gaussian mixture.
@@ -69,14 +91,43 @@ func (m *Model) Dim() int {
 }
 
 // LogProb returns ln Pr(x) = ln Σ_j λ_j f(x | µ_j, Σ_j), the quantity the
-// paper's figures plot (log probability density of an MHM).
+// paper's figures plot (log probability density of an MHM). It is the
+// reference for Eq. 2: score.Engine's fused kernel reproduces it bit
+// for bit.
 //
 //mhm:deterministic
 func (m *Model) LogProb(x []float64) (float64, error) {
 	if len(m.Components) == 0 {
 		return 0, fmt.Errorf("gmm: empty model: %w", ErrTraining)
 	}
-	return m.LogProbScratch(x, m.NewScratch())
+	d := m.Dim()
+	diff, y := make([]float64, d), make([]float64, d)
+	best := math.Inf(-1)
+	terms := make([]float64, 0, len(m.Components))
+	for j := range m.Components {
+		c := &m.Components[j]
+		if c.Weight <= 0 {
+			continue
+		}
+		lp, err := c.logPDF(x, diff, y)
+		if err != nil {
+			return 0, err
+		}
+		term := math.Log(c.Weight) + lp
+		terms = append(terms, term)
+		if term > best {
+			best = term
+		}
+	}
+	if len(terms) == 0 || math.IsInf(best, -1) {
+		return math.Inf(-1), nil
+	}
+	// Log-sum-exp.
+	sum := 0.0
+	for _, t := range terms {
+		sum += math.Exp(t - best)
+	}
+	return best + math.Log(sum), nil
 }
 
 // Responsibilities returns the posterior component probabilities for x.

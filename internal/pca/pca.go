@@ -77,16 +77,21 @@ type Model struct {
 	// variance-explained reporting.
 	TotalVariance float64
 
-	// Projection cache: uᵀ stored row-wise plus the precomputed uᵀΨ
-	// offsets, so Project is a clean L·L' dot-product sweep.
+	// Projection cache (Prepare): uᵀ stored row-wise plus the
+	// precomputed uᵀΨ offsets, the one copy of the basis Eq. 1 sweeps.
 	prepOnce sync.Once
 	compT    *mat.Matrix // L' x L
 	meanOff  []float64   // length L': u_jᵀ Ψ
 	finite   bool        // every basis entry is finite: ±0 cells may be skipped
 }
 
-// prepare builds the projection cache.
-func (m *Model) prepare() {
+// Prepare builds the projection cache Sweep reads: uᵀ stored row-wise,
+// the offsets uᵀΨ, and whether every basis entry is finite. It runs
+// once per model; later calls return at once. ProjectInto and
+// ProjectCellsInto call it themselves; a caller of Sweep calls it first,
+// off its hot path (score.New does). The model must not be mutated
+// afterwards.
+func (m *Model) Prepare() {
 	m.prepOnce.Do(func() {
 		m.compT = m.Components.T()
 		m.meanOff = make([]float64, m.compT.Rows())
@@ -150,10 +155,10 @@ func (m *Model) Project(v []float64) ([]float64, error) {
 // after the projection cache is built on first use. Safe for concurrent
 // use with distinct dst slices.
 //
-// It lists v's occupied cells and sweeps only those (projectCells), or
-// sweeps every cell once v is more than a third occupied, the give-up
-// rule of the scoring engine's list (DESIGN.md §8). Either way each
-// entry is bit-identical to its own mat.Dot over all L cells.
+// It lists v's occupied cells on the stack (ListOccupied) and sweeps
+// only those, or sweeps the whole vector once v is more than a third
+// occupied or the list is full (DESIGN.md §8). Either way each entry is
+// bit-identical to its own mat.Dot over all L cells.
 //
 //mhm:deterministic
 func (m *Model) ProjectInto(dst, v []float64) error {
@@ -161,21 +166,24 @@ func (m *Model) ProjectInto(dst, v []float64) error {
 		return err
 	}
 	if m.finite {
-		var buf [listCap]int32
-		if n := occupied(buf[:], v); n >= 0 {
-			m.projectCells(dst, v, buf[:n])
+		var vals [listCap]float64
+		var cells [listCap]int32
+		if n := ListOccupied(vals[:], cells[:], v); n >= 0 {
+			m.Sweep(dst, vals[:n], cells[:n])
 			return nil
 		}
 	}
-	m.projectDense(dst, v)
+	m.Sweep(dst, v, nil)
 	return nil
 }
 
 // ProjectCellsInto is ProjectInto for a vector whose occupied cells the
 // caller already holds: cells must list, ascending, every cell where v
-// is not ±0 (listing a zero cell as well is harmless). The sweep then
-// costs O(len(cells)·L') instead of a scan of all L cells. The result
-// is bit-identical to ProjectInto.
+// is not ±0 (listing a zero cell as well is harmless). Up to listCap
+// cells, their values are gathered on the stack and only those are
+// swept, at O(len(cells)·L') instead of a scan of all L cells; a longer
+// list sweeps the whole vector. The result is bit-identical to
+// ProjectInto.
 //
 //mhm:deterministic
 func (m *Model) ProjectCellsInto(dst, v []float64, cells []int32) error {
@@ -189,11 +197,15 @@ func (m *Model) ProjectCellsInto(dst, v []float64, cells []int32) error {
 		}
 		prev = c
 	}
-	if m.finite {
-		m.projectCells(dst, v, cells)
-	} else {
-		m.projectDense(dst, v)
+	if !m.finite || len(cells) > listCap {
+		m.Sweep(dst, v, nil)
+		return nil
 	}
+	var vals [listCap]float64
+	for t, c := range cells {
+		vals[t] = v[c]
+	}
+	m.Sweep(dst, vals[:len(cells)], cells)
 	return nil
 }
 
@@ -206,41 +218,40 @@ func (m *Model) checkProject(dst, v []float64) error {
 	if len(dst) != lp {
 		return fmt.Errorf("pca: Project: dst length %d, want %d: %w", len(dst), lp, ErrTraining)
 	}
-	m.prepare()
+	m.Prepare()
 	return nil
 }
 
-// projectDense computes uᵀv − uᵀΨ over all L cells: four basis rows at
-// a time (mat.Dot4 inside MulVecInto), each entry bit-identical to its
-// own mat.Dot; the caller has checked the lengths.
+// Sweep is the projection kernel (Eq. 1): it computes dst = uᵀx − uᵀΨ
+// (length L') of one vector x that is ±0 outside the listed cells:
+// vals[t] is x at cell cells[t], cells ascending. A nil cells list
+// means vals is all of x. ProjectInto, ProjectCellsInto and every
+// score.Scorer entry project through it. Prepare must have run, and a
+// list may skip cells only over a finite basis (see below); the caller
+// checks the lengths.
 //
-//mhm:deterministic
-func (m *Model) projectDense(dst, v []float64) {
-	_ = m.compT.MulVecInto(dst, v)
-	for j := range dst {
-		dst[j] -= m.meanOff[j]
-	}
-}
-
-// projectCells computes uᵀv − uᵀΨ over the listed cells of v, which
-// hold every cell where v is not ±0, ascending. The basis rows go
-// three to a pass, one accumulator chain per row, so a pass costs about
-// what one row costs; when L' is not a multiple of three the last pass
-// sweeps row L'−1 again in its spare slots and discards those sums.
-// Each chain adds its row's products in ascending cell order, so dst[j]
-// is bit-identical to mat.Dot of row j over all L cells: a skipped
-// term is a ±0 cell times a finite basis entry, which is ±0, and adding
-// ±0 to an accumulator that starts at +0 changes nothing (DESIGN.md
-// §8). That needs a finite basis — a skipped 0·∞ would have been NaN —
-// so the callers sweep a basis with a NaN or ±Inf entry densely.
+// The basis rows go three to a pass, and each pass keeps one
+// accumulator chain per row: the sweep is bound by the add latency of a
+// chain, so a pass over three rows costs about what one row costs. When
+// L' is not a multiple of three, the last pass sweeps row L'−1 again in
+// its spare slots and discards those sums. Each chain adds its row's
+// products in ascending cell order, so dst[j] is bit-identical to the
+// single-chain sweep of row j over all L cells. A skipped term is a
+// ±0 input times a basis entry, which is ±0 for any finite entry; a
+// skipped 0·∞ would have been NaN, so ProjectInto sweeps a basis with a
+// NaN or ±Inf entry whole and score.New refuses one. Adding ±0 to an
+// accumulator that is not −0 is a bitwise no-op, and an accumulator
+// that starts at +0 never becomes −0, since a sum is −0 only when both
+// operands are. NaN, ±Inf and subnormal inputs are occupied cells and
+// are never skipped.
 //
 //mhm:hotpath
 //mhm:deterministic
-func (m *Model) projectCells(dst, v []float64, cells []int32) {
-	lp := len(dst)
+func (m *Model) Sweep(dst, vals []float64, cells []int32) {
+	t, lp := m.compT, len(dst)
 	for j := 0; j < lp; j += 3 {
 		j1, j2 := min(j+1, lp-1), min(j+2, lp-1)
-		s0, s1, s2 := sweep3(v, cells, m.compT.Row(j), m.compT.Row(j1), m.compT.Row(j2))
+		s0, s1, s2 := sweep3(vals, cells, t.Row(j), t.Row(j1), t.Row(j2))
 		dst[j] = s0 - m.meanOff[j]
 		if j+1 < lp {
 			dst[j+1] = s1 - m.meanOff[j+1]
@@ -251,47 +262,65 @@ func (m *Model) projectCells(dst, v []float64, cells []int32) {
 	}
 }
 
-// sweep3 is one pass of projectCells over three basis rows, one chain
-// per row: s_k = Σ_t r_k[c_t]·v[c_t] over the listed cells c_t in
-// ascending order.
+// sweep3 is one pass of Sweep over three basis rows, one chain per row:
+// s_k = Σ_t r_k[cells[t]]·vals[t] in ascending t, or Σ_i r_k[i]·vals[i]
+// when cells is nil.
 //
 //mhm:hotpath
 //mhm:deterministic
-func sweep3(v []float64, cells []int32, r0, r1, r2 []float64) (s0, s1, s2 float64) {
-	for _, c := range cells {
-		x := v[c]
-		s0 += x * r0[c]
-		s1 += x * r1[c]
-		s2 += x * r2[c]
+func sweep3(vals []float64, cells []int32, r0, r1, r2 []float64) (s0, s1, s2 float64) {
+	if cells == nil {
+		r0, r1, r2 = r0[:len(vals)], r1[:len(vals)], r2[:len(vals)]
+		for i, x := range vals {
+			s0 += r0[i] * x
+			s1 += r1[i] * x
+			s2 += r2[i] * x
+		}
+		return s0, s1, s2
+	}
+	vals = vals[:len(cells)]
+	for t, c := range cells {
+		x := vals[t]
+		s0 += r0[c] * x
+		s1 += r1[c] * x
+		s2 += r2[c] * x
 	}
 	return s0, s1, s2
 }
 
-// listCap bounds ProjectInto's stack list of occupied cells. The
-// give-up rule stops a list near a third of the cells, so at
-// L = 1,472 a list never outgrows it; a longer vector that fills it
-// is swept densely.
+// listCap bounds the stack lists of ProjectInto and ProjectCellsInto.
+// The give-up rule stops a list near a third of the cells, so at
+// L = 1,472 a list never outgrows it; a longer vector that fills it is
+// swept whole.
 const listCap = 512
 
-// occupied lists v's occupied cells — those that are not ±0; NaN, ±Inf
-// and subnormals count — in ascending order into cells and returns how
-// many there are. Once more than a third of the cells scanned so far
-// are occupied, beyond the first 64, or the list is full, it gives up
-// and returns −1: past that occupancy the dense sweep is cheaper.
+// ListOccupied lists v's occupied cells — those whose bits are not ±0;
+// NaN, ±Inf and subnormals count — in ascending order into cells, with
+// their values in vals, and returns how many there are. Past some
+// occupancy the list costs more than sweeping v whole: at L = 1,472 the
+// two routes cost the same near 25% occupancy for L' = 6 and near
+// 35–40% for L' = 9 (DESIGN.md §8, BenchmarkScoreOccupancy). So once
+// more than a third of the cells scanned so far are occupied, beyond
+// the first 64, or the list is full, the scan gives up and returns −1,
+// and v is swept whole. vals must be at least as long as cells.
+//
+// It is kept out of line: inlined into its caller, the loop kept n on
+// the stack and ran about twice as slow.
 //
 //mhm:hotpath
 //mhm:deterministic
-func occupied(cells []int32, v []float64) int {
+//go:noinline
+func ListOccupied(vals []float64, cells []int32, v []float64) int {
 	n := 0
 	for i, x := range v {
-		if mat.IsZero(x) {
-			continue
+		if math.Float64bits(x)<<1 != 0 {
+			if 3*n > i+64 || n == len(cells) {
+				return -1
+			}
+			vals[n] = x
+			cells[n] = int32(i)
+			n++
 		}
-		if 3*n > i+64 || n == len(cells) {
-			return -1
-		}
-		cells[n] = int32(i)
-		n++
 	}
 	return n
 }

@@ -92,8 +92,13 @@ func checkProjectRoutes(t *testing.T, name string, m *Model, v []float64) (dense
 	_, lp := m.Dim()
 	want := projectRef(m, v)
 	sweep := make([]float64, lp)
-	m.prepare()
-	m.projectDense(sweep, v)
+	m.Prepare()
+	if err := m.compT.MulVecInto(sweep, v); err != nil {
+		t.Fatal(err)
+	}
+	for j := range sweep {
+		sweep[j] -= m.meanOff[j]
+	}
 	if !sameProjection(sweep, want) {
 		t.Fatalf("%s: MulVecInto sweep %v, reference %v", name, sweep, want)
 	}
@@ -119,8 +124,9 @@ func checkProjectRoutes(t *testing.T, name string, m *Model, v []float64) (dense
 			t.Fatalf("%s: ProjectCellsInto over %d cells %v, reference %v", name, len(cells), got, want)
 		}
 	}
-	var buf [listCap]int32
-	return occupied(buf[:], v) < 0
+	var vals [listCap]float64
+	var cells [listCap]int32
+	return ListOccupied(vals[:], cells[:], v) < 0
 }
 
 // TestProjectMatchesDense pins ProjectInto and ProjectCellsInto to the

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/memheatmap/mhm/internal/pca"
 )
 
 // countsL is the paper's base cell count (§5.4: L = 1,472).
@@ -48,7 +50,7 @@ func checkCounts(t *testing.T, name string, s *Scorer, counts []uint32) (direct 
 		}
 	}
 	l := len(counts)
-	direct = occupied(make([]float64, l), make([]int32, l), v) < 0
+	direct = pca.ListOccupied(make([]float64, l), make([]int32, l), v) < 0
 	if listed := occupiedCounts(make([]float64, l), make([]int32, l), counts) >= 0; listed == direct {
 		t.Fatalf("%s: the counts scan lists the cells: %v; the vector scan: %v", name, listed, !direct)
 	}

@@ -6,21 +6,25 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/memheatmap/mhm/internal/gmm"
 	"github.com/memheatmap/mhm/internal/heatmap"
+	"github.com/memheatmap/mhm/internal/mat"
+	"github.com/memheatmap/mhm/internal/pca"
 )
 
-// projectRef is the single-vector projection as one add chain per panel
-// row over all L cells in ascending order, the order mat.Dot and
-// pca.Model.Project use. It is the oracle the occupied-cell kernel must
-// reproduce bit for bit.
+// projectRef is the single-vector projection as one add chain per
+// basis row over all L cells in ascending order, the order mat.Dot
+// uses, minus the single-chain uᵀΨ. It is the oracle the occupied-cell
+// kernel must reproduce bit for bit.
 func (e *Engine) projectRef(w, v []float64) {
 	for j := 0; j < e.lp; j++ {
-		row := e.panel[j*e.l : (j+1)*e.l]
-		s := 0.0
-		for i, x := range row {
-			s += x * v[i]
+		s, off := 0.0, 0.0
+		for i := 0; i < e.l; i++ {
+			u := e.p.Components.At(i, j)
+			s += u * v[i]
+			off += u * e.p.Mean[i]
 		}
-		w[j] = s - e.meanOff[j]
+		w[j] = s - off
 	}
 }
 
@@ -30,7 +34,7 @@ func (e *Engine) projectRef(w, v []float64) {
 // IEEE NaN payload propagation depends on operand order, which the
 // compiler is free to pick, so payload-exact NaN equality is not a
 // property any kernel can promise — and trained models guarantee
-// finite panels and vectors, so NaN results never arise outside
+// finite bases and vectors, so NaN results never arise outside
 // adversarial tests like these.
 func sameBits(a, b float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
@@ -60,47 +64,32 @@ func specialValue(rng *rand.Rand) float64 {
 	}
 }
 
-// testEngine builds a small Engine literal with a deterministic finite
-// panel, as trained models guarantee.
-func testEngine(l, lp int, seed int64) *Engine {
-	rng := rand.New(rand.NewSource(seed))
-	e := &Engine{
-		l:       l,
-		lp:      lp,
-		panel:   make([]float64, lp*l),
-		meanOff: make([]float64, lp),
-	}
-	for i := range e.panel {
-		e.panel[i] = rng.NormFloat64()
-	}
-	for j := range e.meanOff {
-		e.meanOff[j] = rng.NormFloat64()
-	}
-	return e
-}
-
-// refEngine is testEngine with a two-component mixture (identity
-// Cholesky factors) so scores depend on every reduced coordinate, and
-// with zero mean offsets so a projection summing only subnormal terms
-// stays visible in w.
+// refEngine builds a small engine over a deterministic finite basis, as
+// trained models guarantee, with a zero mean Ψ so a projection summing
+// only subnormal terms stays visible in w, and a two-component mixture
+// with identity covariances so scores depend on every reduced
+// coordinate.
 func refEngine(l, lp int, seed int64) *Engine {
-	e := testEngine(l, lp, seed)
-	rng := rand.New(rand.NewSource(seed + 1))
-	for j := range e.meanOff {
-		e.meanOff[j] = 0
+	rng := rand.New(rand.NewSource(seed))
+	comps := mat.New(l, lp)
+	for j := 0; j < lp; j++ {
+		for i := 0; i < l; i++ {
+			comps.Set(i, j, rng.NormFloat64())
+		}
 	}
+	p := &pca.Model{Mean: make([]float64, l), Components: comps, Values: make([]float64, lp)}
+	rng = rand.New(rand.NewSource(seed + 1))
+	g := &gmm.Model{}
 	for c := 0; c < 2; c++ {
-		comp := component{
-			mean: make([]float64, lp),
-			chol: make([]float64, lp*lp),
-			logW: math.Log(0.5),
-			base: float64(lp) * log2Pi,
+		mean := make([]float64, lp)
+		for i := range mean {
+			mean[i] = 10 * rng.NormFloat64()
 		}
-		for i := 0; i < lp; i++ {
-			comp.mean[i] = 10 * rng.NormFloat64()
-			comp.chol[i*lp+i] = 1
-		}
-		e.comps = append(e.comps, comp)
+		g.Components = append(g.Components, gmm.Component{Weight: 0.5, Mean: mean, Cov: mat.Identity(lp)})
+	}
+	e, err := New(p, g)
+	if err != nil {
+		panic(err)
 	}
 	return e
 }
@@ -173,7 +162,7 @@ func checkAgainstRef(t *testing.T, name string, e *Engine, s *Scorer, v []float6
 		}
 		same("Score", got, s.w)
 	}
-	direct = occupied(make([]float64, e.l), make([]int32, e.l), v) < 0
+	direct = pca.ListOccupied(make([]float64, e.l), make([]int32, e.l), v) < 0
 
 	if family != famCounts {
 		return direct

@@ -1,14 +1,19 @@
 // Package score is the fused, allocation-free scoring engine for the
 // per-interval classification the paper budgets in §5.4: eigenmemory
-// projection (Eq. 1) plus mixture log-density (Eq. 2) in one pass over
+// projection (Eq. 1) plus mixture log-density (Eq. 2) over
 // preallocated, cache-friendly storage.
 //
-// Layout: the eigenmemory basis is flattened into one contiguous
-// row-major L'×L panel (row j = u_jᵀ), so the projection is L' dot
-// products over sequential memory; each mixture component carries its
+// Layout: the projection is pca.Model's own kernel (pca.Model.Sweep)
+// over the model's prepared uᵀ cache, so the engine references the
+// basis and holds no copy of it. Each mixture component carries its
 // precomputed log-weight, Cholesky factor (flattened lower-triangular,
 // row-major) and log-determinant, so the density needs only a forward
 // substitution and a log-sum-exp — no per-call slices anywhere.
+//
+// Every Score entry is two halves run back to back: a projection into
+// the Scorer's reduced vector (Project, ProjectCounts) and the mixture
+// kernel over it (Density). An instrumented detector times the halves
+// apart; everything else calls the composed entries.
 //
 // The arithmetic reproduces pca.Model.Project followed by
 // gmm.Model.LogProb operation for operation (same accumulation order,
@@ -47,16 +52,20 @@ type component struct {
 // Engine holds the fused model: immutable after construction, safe to
 // share across any number of Scorers.
 type Engine struct {
-	l, lp   int
-	panel   []float64 // L'×L row-major: row j is eigenmemory u_jᵀ
-	meanOff []float64 // u_jᵀΨ, length L'
-	comps   []component
+	p     *pca.Model // the basis Eq. 1 sweeps, its cache prepared by New
+	l, lp int
+	comps []component
 }
 
 // New fuses a trained eigenmemory basis and mixture into an Engine. The
-// mixture must be trained on the basis's L'-dimensional weights.
+// mixture must be trained on the basis's L'-dimensional weights, and
+// every parameter must be finite: a NaN or ±Inf in the basis, its mean
+// Ψ, a weight, or the mean or covariance of a kept component is
+// ErrModel, since the projection's cell skipping is exact only over a
+// finite basis.
 // Components with non-positive weight are dropped, exactly as LogProb
-// skips them.
+// skips them. The engine references p, which must not be mutated
+// afterwards.
 func New(p *pca.Model, g *gmm.Model) (*Engine, error) {
 	if p == nil || g == nil {
 		return nil, fmt.Errorf("score: nil model: %w", ErrModel)
@@ -65,28 +74,24 @@ func New(p *pca.Model, g *gmm.Model) (*Engine, error) {
 	if d := g.Dim(); d != lp {
 		return nil, fmt.Errorf("score: mixture dimension %d, eigenmemories %d: %w", d, lp, ErrModel)
 	}
-	e := &Engine{
-		l:       l,
-		lp:      lp,
-		panel:   make([]float64, lp*l),
-		meanOff: make([]float64, lp),
+	if !finite(p.Mean) || !finiteRows(p.Components) {
+		return nil, fmt.Errorf("score: non-finite eigenmemory mean or basis: %w", ErrModel)
 	}
-	// Flatten uᵀ row-major and precompute the mean offsets with the same
-	// dot-product order pca.Model.prepare uses.
-	for j := 0; j < lp; j++ {
-		row := e.panel[j*l : (j+1)*l]
-		for i := 0; i < l; i++ {
-			row[i] = p.Components.At(i, j)
-		}
-		e.meanOff[j] = mat.Dot(row, p.Mean)
-	}
+	p.Prepare()
+	e := &Engine{p: p, l: l, lp: lp}
 	for ci := range g.Components {
 		c := &g.Components[ci]
+		if !mat.IsFinite(c.Weight) {
+			return nil, fmt.Errorf("score: component %d weight %g: %w", ci, c.Weight, ErrModel)
+		}
 		if c.Weight <= 0 {
 			continue
 		}
 		if len(c.Mean) != lp || c.Cov.Rows() != lp || c.Cov.Cols() != lp {
 			return nil, fmt.Errorf("score: component %d shape: %w", ci, ErrModel)
+		}
+		if !finite(c.Mean) || !finiteRows(c.Cov) {
+			return nil, fmt.Errorf("score: component %d: non-finite mean or covariance: %w", ci, ErrModel)
 		}
 		ch, err := mat.NewCholesky(c.Cov)
 		if err != nil {
@@ -105,6 +110,26 @@ func New(p *pca.Model, g *gmm.Model) (*Engine, error) {
 		e.comps = append(e.comps, fc)
 	}
 	return e, nil
+}
+
+// finite reports whether every entry of xs is neither NaN nor ±Inf.
+func finite(xs []float64) bool {
+	for _, x := range xs {
+		if !mat.IsFinite(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// finiteRows is finite over every row of m.
+func finiteRows(m *mat.Matrix) bool {
+	for i := 0; i < m.Rows(); i++ {
+		if !finite(m.Row(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Dim returns (L, L').
@@ -136,44 +161,80 @@ func (e *Engine) NewScorer() *Scorer {
 // Engine returns the shared immutable engine.
 func (s *Scorer) Engine() *Engine { return s.e }
 
-// Score returns the mixture log density of one MHM vector (length L).
-// The projection pays only for the occupied cells — about 46 of 1,472
-// on a device interval — and sweeps a mostly occupied vector directly.
-// Zero allocations.
+// Score returns the mixture log density of one MHM vector (length L):
+// Project, then Density. Zero allocations.
 //
 //mhm:deterministic
 func (s *Scorer) Score(v []float64) (float64, error) {
-	if len(v) != s.e.l {
-		return 0, fmt.Errorf("score: vector length %d, want %d: %w", len(v), s.e.l, ErrModel)
+	if err := s.Project(v); err != nil {
+		return 0, err
 	}
-	s.e.projectVec(s.w, v, s.vals, s.cells)
-	return s.e.mixKernel(s.w, s.y, s.terms), nil
+	return s.Density(), nil
+}
+
+// Project is Score's first half: the eigenmemory projection (Eq. 1) of
+// one MHM vector (length L) into the Scorer's reduced vector. It pays
+// only for the occupied cells — about 46 of 1,472 on a device interval
+// — and sweeps a mostly occupied vector whole. Zero allocations.
+//
+//mhm:deterministic
+func (s *Scorer) Project(v []float64) error {
+	if len(v) != s.e.l {
+		return fmt.Errorf("score: vector length %d, want %d: %w", len(v), s.e.l, ErrModel)
+	}
+	if n := pca.ListOccupied(s.vals, s.cells, v); n >= 0 {
+		s.e.p.Sweep(s.w, s.vals[:n], s.cells[:n])
+	} else {
+		s.e.p.Sweep(s.w, v, nil)
+	}
+	return nil
 }
 
 // ScoreCounts returns the mixture log density of one heat map given its
 // cell counts (length L), bit-identical to Score on the counts widened
-// to float64. One scan of the counts lists the occupied cells and widens
-// only those, so a device interval never builds its L-cell float vector;
-// past Score's give-up point the counts are widened whole and swept
-// directly. Zero allocations.
+// to float64: ProjectCounts, then Density. Zero allocations.
 //
 //mhm:hotpath
 //mhm:deterministic
 func (s *Scorer) ScoreCounts(counts []uint32) (float64, error) {
+	if err := s.ProjectCounts(counts); err != nil {
+		return 0, err
+	}
+	return s.Density(), nil
+}
+
+// ProjectCounts is ScoreCounts' first half, Project on the counts
+// widened to float64, bit for bit. One scan of the counts lists the
+// occupied cells and widens only those, so a device interval never
+// builds its L-cell float vector; past Project's give-up point the
+// counts are widened whole and swept whole. Zero allocations.
+//
+//mhm:hotpath
+//mhm:deterministic
+func (s *Scorer) ProjectCounts(counts []uint32) error {
 	if len(counts) != s.e.l {
 		//mhmlint:ignore hotpath cold error path; callers check the map against the region first
-		return 0, fmt.Errorf("score: %d counts, want %d: %w", len(counts), s.e.l, ErrModel)
+		return fmt.Errorf("score: %d counts, want %d: %w", len(counts), s.e.l, ErrModel)
 	}
 	if n := occupiedCounts(s.vals, s.cells, counts); n >= 0 {
-		s.e.project(s.w, s.vals[:n], s.cells[:n])
-	} else {
-		vals := s.vals[:len(counts)]
-		for i, c := range counts {
-			vals[i] = float64(c)
-		}
-		s.e.project(s.w, vals, nil)
+		s.e.p.Sweep(s.w, s.vals[:n], s.cells[:n])
+		return nil
 	}
-	return s.e.mixKernel(s.w, s.y, s.terms), nil
+	vals := s.vals[:len(counts)]
+	for i, c := range counts {
+		vals[i] = float64(c)
+	}
+	s.e.p.Sweep(s.w, vals, nil)
+	return nil
+}
+
+// Density is the second half of every Score entry: the mixture log
+// density (Eq. 2) of the reduced vector the last Project or
+// ProjectCounts call left. Zero allocations.
+//
+//mhm:hotpath
+func (s *Scorer) Density() float64 {
+	return s.e.mixKernel(s.w, s.y, s.terms)
 }
 
 // ScoreSparse scores one interval given only its occupied cells, as
@@ -213,6 +274,6 @@ func (s *Scorer) ScoreSparse(starts, lens []int32, counts []uint32) (float64, er
 			cells = append(cells, c)
 		}
 	}
-	s.e.project(s.w, vals, cells)
-	return s.e.mixKernel(s.w, s.y, s.terms), nil
+	s.e.p.Sweep(s.w, vals, cells)
+	return s.Density(), nil
 }
